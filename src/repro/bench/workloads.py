@@ -12,8 +12,8 @@ substitutions recorded in DESIGN.md / EXPERIMENTS.md:
   preserving every ratio the figures are about.  Set
   ``REPRO_BENCH_SCALE=1`` for full-size runs.
 
-Cohorts are cached per (case-size, SNP-count) so the 2/3/5/7-GDO runs
-of one figure share the same data, exactly as in the paper.
+Cohorts are cached per (case-size, SNP-count, seed) so the 2/3/5/7-GDO
+runs of one figure share the same data, exactly as in the paper.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ PAPER_THRESHOLDS = PrivacyThresholds(
 )
 
 _DEFAULT_SCALE = 0.1
-_COHORT_CACHE: Dict[Tuple[int, int, int], Tuple[Cohort, SyntheticTruth]] = {}
+_COHORT_CACHE: Dict[Tuple[int, int, int, int], Tuple[Cohort, SyntheticTruth]] = {}
 
 #: Case-frequency drift coefficient: per-SNP drift is K / sqrt(L_des).
 #: The LR detector's cumulative signal grows with the number of retained
@@ -91,7 +91,7 @@ def paper_cohort(
     """
     case = scaled(num_case, scale)
     control = scaled(PAPER_CONTROL, scale)
-    key = (case, control, num_snps)
+    key = (case, control, num_snps, seed)
     if key not in _COHORT_CACHE:
         spec = SyntheticSpec(
             num_snps=num_snps,

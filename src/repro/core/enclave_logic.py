@@ -120,11 +120,9 @@ class GenDPREnclave(Enclave):
         self._combo_counts: Dict[str, np.ndarray] = {}
         self._combo_sizes: Dict[str, int] = {}
         self._ranking_cache: Dict[str, np.ndarray] = {}
-        self._member_pair_moments: Dict[Tuple[str, int, int], ld.PairMoments] = {}
-        self._local_pair_moments: Dict[Tuple[int, int], ld.PairMoments] = {}
-        self._reference_pair_moments: Dict[Tuple[int, int], ld.PairMoments] = {}
-        #: Pairs whose moments are cached for every party (fast-path check).
-        self._ld_cached: set = set()
+        #: Pooled LD pair moments per combination plus the reference's,
+        #: filled by the flat fetch and the tree aggregation alike.
+        self._moments = ld.MomentTable(0)
         # Plain (collusion-oblivious) track, kept alongside the tolerant
         # pipeline so Table 5 can report what collusion tolerance withheld.
         self._plain_retained: Dict[str, List[int]] = {}
@@ -157,9 +155,6 @@ class GenDPREnclave(Enclave):
         #: the integrity layer's verification re-run compares against it.
         self._shard_commitments: Dict[Tuple[str, int, str], bytes] = {}
         self._ld_shard_buckets: Optional[Dict[int, List[Tuple[int, int]]]] = None
-        # Per-(combination, pair) pooled case moments installed by the
-        # tree aggregation (sharded runs); the flat path leaves it empty.
-        self._combo_pair_moments: Dict[Tuple[str, int, int], ld.PairMoments] = {}
         self._shard_counters: Dict[str, int] = dict(_SHARD_COUNTER_ZERO)
         # Memoized sliding-window pair lists keyed by the SNP list bytes.
         self._window_pairs_cache: Dict[bytes, List[Tuple[int, int]]] = {}
@@ -241,10 +236,9 @@ class GenDPREnclave(Enclave):
             "_data_signer",
             "_echo_signer",
             "_member_counts",
-            "_member_pair_moments",
+            "_moments",
             "_rollback_counter",
             "_shard_accum",
-            "_combo_pair_moments",
         }
 
     # ------------------------------------------------------------------
@@ -347,10 +341,7 @@ class GenDPREnclave(Enclave):
         self._combo_counts = {}
         self._combo_sizes = {}
         self._ranking_cache = {}
-        self._member_pair_moments = {}
-        self._local_pair_moments = {}
-        self._reference_pair_moments = {}
-        self._ld_cached = set()
+        self._moments = ld.MomentTable(len(self._combos))
         self._plain_retained = {}
         self._retained = {}
         self._combo_safe = {}
@@ -371,7 +362,6 @@ class GenDPREnclave(Enclave):
         self._shard_epoch = 0
         self._shard_commitments = {}
         self._ld_shard_buckets = None
-        self._combo_pair_moments = {}
         self._shard_counters = dict(_SHARD_COUNTER_ZERO)
         self._window_pairs_cache = {}
 
@@ -867,10 +857,9 @@ class GenDPREnclave(Enclave):
             shard = self._shard_plan_required().ranges[spec["shard"]]
             with ColumnReader(self, store) as reader:
                 local = reader.column_sums(shard.start, shard.stop)
-            stats = membership[:, None] * local[None, :]
         else:
             local = self._local_moments(store, spec["pairs"])[:, :3]
-            stats = membership[:, None, None] * local[None, :, :]
+        stats = ld.pool_moments(membership[:, None], local[None])
         if self._shard_adversary is not None:
             stats = np.asarray(
                 self._shard_adversary.mutate(
@@ -1085,7 +1074,11 @@ class GenDPREnclave(Enclave):
 
     @ecall
     def lead_finish_shard_task(
-        self, store: SealedColumnStore, task_id: str, verify: bool = False
+        self,
+        store: SealedColumnStore,
+        ref_store: SealedColumnStore,
+        task_id: str,
+        verify: bool = False,
     ) -> None:
         """Fold the completed tree root of one task into leader state.
 
@@ -1132,17 +1125,13 @@ class GenDPREnclave(Enclave):
                 )
         else:
             pairs = spec["pairs"]
-            cache = self._combo_pair_moments
             for index, (combo_id, _f, _members) in enumerate(self._combos):
-                size = int(counts[index])
-                self._check_combo_size(combo_id, size)
-                for pair, (mu_l, mu_r, mu_lr) in zip(
-                    pairs, stats[index].tolist()
-                ):
-                    cache[(combo_id, *pair)] = ld.PairMoments(
-                        mu_l, mu_r, mu_lr, mu_l, mu_r, count=size
-                    )
-            self._ld_cached.update(pairs)
+                self._check_combo_size(combo_id, int(counts[index]))
+            # The reference side is computed here, once per task, so
+            # every installed pair has its complete table row.
+            with ColumnReader(self, ref_store) as ref_reader:
+                reference = self._reference_moments(ref_reader, pairs)
+            self._moments.put(pairs, ld.full_moments(stats), reference)
             self._ld_pairs_fetched += len(pairs)
             self._shard_moments_done.add(int(spec["shard"]))
         self._drop_shard_task(task_id)
@@ -1175,36 +1164,22 @@ class GenDPREnclave(Enclave):
         a single leaf: it is reported unattributed and the study takes a
         classified abort instead of repairing around anyone.
         """
-        mismatch = False
+        combo_ids = [combo_id for combo_id, _f, _members in self._combos]
+        sizes = [self._combo_sizes.get(combo_id) for combo_id in combo_ids]
         if spec["kind"] == "counts":
             shard = self._shard_plan_required().ranges[spec["shard"]]
-            for index, (combo_id, _f, _members) in enumerate(self._combos):
-                installed = self._combo_counts.get(combo_id)
-                if (
-                    installed is None
-                    or not np.array_equal(
-                        installed[shard.start : shard.stop], stats[index]
-                    )
-                    or self._combo_sizes.get(combo_id) != int(counts[index])
-                ):
-                    mismatch = True
-                    break
+            installed = [self._combo_counts.get(c) for c in combo_ids]
+            folded = None
+            if all(c is not None for c in installed):
+                folded = np.stack([c[shard.start : shard.stop] for c in installed])
         else:
-            cache = self._combo_pair_moments
-            for index, (combo_id, _f, _members) in enumerate(self._combos):
-                size = int(counts[index])
-                for pair, (mu_l, mu_r, mu_lr) in zip(
-                    spec["pairs"], stats[index].tolist()
-                ):
-                    expected = ld.PairMoments(
-                        mu_l, mu_r, mu_lr, mu_l, mu_r, count=size
-                    )
-                    if cache.get((combo_id, *pair)) != expected:
-                        mismatch = True
-                        break
-                if mismatch:
-                    break
-        if mismatch:
+            folded = self._moments.case_rows(spec["pairs"])
+            stats = ld.full_moments(stats)
+        if (
+            folded is None
+            or sizes != counts.tolist()
+            or not np.array_equal(folded, stats)
+        ):
             raise EquivocationError(  # lint: disable=R6 (shard labels are control-plane metadata)
                 "shard verification run diverged from the original fold "
                 "with matching leaf commitments",
@@ -1479,28 +1454,13 @@ class GenDPREnclave(Enclave):
     # -- Phase 2: LD -----------------------------------------------------------
 
     def _reference_moments(
-        self, ref_reader: ColumnReader, pair: Tuple[int, int]
-    ) -> ld.PairMoments:
-        if pair not in self._reference_pair_moments:
-            self._reference_moments_batch(ref_reader, [pair])
-        return self._reference_pair_moments[pair]
-
-    def _reference_moments_batch(
         self, ref_reader: ColumnReader, pairs: Sequence[Tuple[int, int]]
-    ) -> None:
-        """Fill the reference moment cache for many pairs at once."""
-        missing = [p for p in pairs if p not in self._reference_pair_moments]
-        if not missing:
-            return
-        pair_array = np.asarray(missing, dtype=np.int64)
+    ) -> np.ndarray:
+        """Five correlation sums per pair over the reference population."""
+        pair_array = np.asarray(pairs, dtype=np.int64)
         unique_columns, inverse = np.unique(pair_array, return_inverse=True)
-        inverse = inverse.reshape(pair_array.shape)
         gathered = ref_reader.columns(unique_columns.tolist())
-        moments = ld.pair_moments_kernel(gathered, inverse)
-        count = ref_reader.num_rows
-        cache = self._reference_pair_moments
-        for pair, row in zip(missing, moments.tolist()):
-            cache[pair] = ld.PairMoments(*row, count=count)
+        return ld.pair_moments_kernel(gathered, inverse.reshape(pair_array.shape))
 
     def _fetch_moments(
         self,
@@ -1509,9 +1469,14 @@ class GenDPREnclave(Enclave):
         ref_reader: ColumnReader,
         ocall: OcallExchange,
     ) -> None:
-        """One request/response round for pair moments not yet cached."""
+        """One request/response round for pair moments not yet cached.
+
+        The validated member answers and the leader's own sums are
+        pooled into every combination at once by the membership product
+        the shard leaves apply, so per-member moments are never stored.
+        """
         members = self._other_members()
-        missing = [pair for pair in pairs if pair not in self._ld_cached]
+        missing = self._moments.missing(pairs)
         self._ld_pairs_fetched += len(missing)
         if not missing:
             return
@@ -1525,6 +1490,8 @@ class GenDPREnclave(Enclave):
             member: self._protect(member, "ld", payload) for member in members
         }
         responses = ocall("ld", requests)
+        parties = self._config()["member_ids"]
+        per_party = np.empty((len(parties), len(missing), 5), dtype=np.int64)
         for member in members:
             answer = self._open(member, "ld", responses[member])
             if answer["req_id"] != request_id:
@@ -1539,44 +1506,29 @@ class GenDPREnclave(Enclave):
                     f"LD moments from {member} are inconsistent with its "
                     f"declared population size"
                 )
-            member_cache = self._member_pair_moments
-            for pair, values in zip(missing, moments.tolist()):
-                member_cache[(member, *pair)] = ld.PairMoments(
-                    *values, count=size
-                )
-        local = self._local_moments(store, missing)
-        local_rows = store.num_rows
-        local_cache = self._local_pair_moments
-        for pair, values in zip(missing, local.tolist()):
-            local_cache[pair] = ld.PairMoments(*values, count=local_rows)
-        self._reference_moments_batch(ref_reader, missing)
-        self._ld_cached.update(missing)
+            per_party[parties.index(member)] = moments
+        per_party[parties.index(self.enclave_id)] = self._local_moments(
+            store, missing
+        )
+        membership = np.stack(
+            [self._combo_membership(party) for party in parties], axis=1
+        )
+        self._moments.put(
+            missing,
+            ld.pool_moments(membership, per_party),
+            self._reference_moments(ref_reader, missing),
+        )
 
     def _combo_moments(
-        self,
-        combo_id: str,
-        combo_members: Tuple[str, ...],
-        pair: Tuple[int, int],
-        ref_reader: ColumnReader,
+        self, combo_index: int, pair: Tuple[int, int]
     ) -> ld.PairMoments:
-        """Pooled moments of a pair for one combination (case + reference).
-
-        Sharded runs install the case-side pool per combination during
-        tree aggregation; the per-member sum below only runs for pairs
-        the tree prefetch did not cover (lookahead misses) and for the
-        flat (unsharded) path.
-        """
+        """Pooled moments of a pair for one combination (case + reference)."""
         self._ld_pairs_requested += 1
-        total = self._reference_moments(ref_reader, pair)
-        pooled = self._combo_pair_moments.get((combo_id, *pair))
-        if pooled is not None:
-            return total + pooled
-        for member in combo_members:
-            if member == self.enclave_id:
-                total = total + self._local_pair_moments[pair]
-            else:
-                total = total + self._member_pair_moments[(member, *pair)]
-        return total
+        combo_id = self._combos[combo_index][0]
+        return ld.PairMoments(
+            *self._moments.pooled(combo_index, pair),
+            count=self._combo_sizes[combo_id] + self._reference_rows,
+        )
 
     @ecall
     def lead_run_ld(
@@ -1610,12 +1562,11 @@ class GenDPREnclave(Enclave):
             self._fetch_moments(
                 list(union_window), store, ref_reader, ocall
             )
-            for combo_id, _f, combo_members in self._combos:
+            for combo_index in range(len(self._combos)):
                 survivor_sets.append(
                     set(
                         self._ld_greedy(
-                            combo_id,
-                            combo_members,
+                            combo_index,
                             l_prime,
                             cutoff,
                             store,
@@ -1626,10 +1577,8 @@ class GenDPREnclave(Enclave):
                 )
             if len(self._combos) > 1:
                 # Plain track: the f0 walk over the un-intersected list.
-                full_members = self._combos[0][2]
                 self._plain_retained["double_prime"] = self._ld_greedy(
-                    "f0",
-                    full_members,
+                    0,
                     self._plain_retained["prime"],
                     cutoff,
                     store,
@@ -1663,8 +1612,7 @@ class GenDPREnclave(Enclave):
 
     def _ld_greedy(
         self,
-        combo_id: str,
-        combo_members: Tuple[str, ...],
+        combo_index: int,
         l_prime: List[int],
         cutoff: float,
         store: SealedColumnStore,
@@ -1700,7 +1648,7 @@ class GenDPREnclave(Enclave):
 
         def get_moments(left: int, right: int, position: int) -> ld.PairMoments:
             pair = (left, right)
-            if pair not in self._ld_cached:
+            if pair not in self._moments:
                 lookahead = [
                     (left, l_prime[j])
                     for j in range(
@@ -1708,7 +1656,7 @@ class GenDPREnclave(Enclave):
                     )
                 ]
                 self._fetch_moments(lookahead, store, ref_reader, ocall)
-            return self._combo_moments(combo_id, combo_members, pair, ref_reader)
+            return self._combo_moments(combo_index, pair)
 
         return pipeline.ld_prune(l_prime, ranking, get_moments, cutoff)
 
@@ -2049,18 +1997,6 @@ class GenDPREnclave(Enclave):
         # the counts dict would silently drop them from the blob.
         members = sorted(self._member_sizes)
         count_ids = sorted(self._member_counts)
-        moment_keys = sorted(self._member_pair_moments)
-        local_keys = sorted(self._local_pair_moments)
-        ref_keys = sorted(self._reference_pair_moments)
-        combo_moment_keys = sorted(self._combo_pair_moments)
-
-        def pack_moments(keys, lookup):
-            rows = [
-                [m.mu_l, m.mu_r, m.mu_lr, m.mu_l2, m.mu_r2, m.count]
-                for m in (lookup[k] for k in keys)
-            ]
-            return np.asarray(rows, dtype=np.int64).reshape(len(keys), 6)
-
         return {
             "study": self._study,
             "member_ids": members,
@@ -2084,16 +2020,9 @@ class GenDPREnclave(Enclave):
                 k: list(v) for k, v in sorted(self._combo_safe.items())
             },
             "release_power": float(self._release_power),
-            "moment_keys": [list(k) for k in moment_keys],
-            "moment_values": pack_moments(moment_keys, self._member_pair_moments),
-            "local_keys": [list(k) for k in local_keys],
-            "local_values": pack_moments(local_keys, self._local_pair_moments),
-            "ref_keys": [list(k) for k in ref_keys],
-            "ref_values": pack_moments(ref_keys, self._reference_pair_moments),
-            "combo_moment_keys": [list(k) for k in combo_moment_keys],
-            "combo_moment_values": pack_moments(
-                combo_moment_keys, self._combo_pair_moments
-            ),
+            # Pooled per-combination and reference moments, the only LD
+            # state the walks read: three arrays, not per-pair entries.
+            "moments": self._moments.state(),
             "shard_counts_done": sorted(self._shard_counts_done),
             "shard_moments_done": sorted(self._shard_moments_done),
             "shard_epoch": int(self._shard_epoch),
@@ -2153,10 +2082,9 @@ class GenDPREnclave(Enclave):
             self._study["member_ids"], list(self._study["f_values"])
         )
         members = state["member_ids"]
-        count_ids = state.get("count_ids", members)
         self._member_counts = {
             m: np.asarray(c, dtype=np.int64)
-            for m, c in zip(count_ids, state["member_counts"])
+            for m, c in zip(state["count_ids"], state["member_counts"])
         }
         self._member_sizes = {
             m: int(s) for m, s in zip(members, state["member_sizes"])
@@ -2182,78 +2110,22 @@ class GenDPREnclave(Enclave):
         self._combo_sizes = {
             c: int(s) for c, s in zip(state["combo_ids"], state["combo_sizes"])
         }
-        # Post-LR collusion outcomes: present only in checkpoints taken
-        # after the LR phase (``get`` keeps older blobs restorable).
         self._combo_safe = {
-            k: tuple(int(s) for s in v)
-            for k, v in state.get("combo_safe", {}).items()
+            k: tuple(int(s) for s in v) for k, v in state["combo_safe"].items()
         }
-        self._release_power = float(state.get("release_power", 0.0))
+        self._release_power = float(state["release_power"])
         self._ranking_cache = {}
-
-        def unpack(keys, values, make_key):
-            values = np.asarray(values, dtype=np.int64).reshape(len(keys), 6)
-            return {
-                make_key(key): ld.PairMoments(*row[:5], count=row[5])
-                for key, row in zip(keys, values.tolist())
-            }
-
-        self._member_pair_moments = unpack(
-            state["moment_keys"],
-            state["moment_values"],
-            lambda k: (str(k[0]), int(k[1]), int(k[2])),
-        )
-        self._local_pair_moments = unpack(
-            state["local_keys"],
-            state["local_values"],
-            lambda k: (int(k[0]), int(k[1])),
-        )
-        self._reference_pair_moments = unpack(
-            state["ref_keys"],
-            state["ref_values"],
-            lambda k: (int(k[0]), int(k[1])),
-        )
-        self._combo_pair_moments = unpack(
-            state.get("combo_moment_keys", []),
-            state.get(
-                "combo_moment_values", np.zeros((0, 6), dtype=np.int64)
-            ),
-            lambda k: (str(k[0]), int(k[1]), int(k[2])),
-        )
-        counts_done = state.get("shard_counts_done", [])
-        # Older checkpoints carried an in-order completion count; newer
-        # ones carry the explicit shard-index list.
-        if isinstance(counts_done, int):
-            counts_done = range(counts_done)
-        self._shard_counts_done = {int(s) for s in counts_done}
-        self._shard_moments_done = {
-            int(s) for s in state.get("shard_moments_done", [])
-        }
+        self._moments = ld.MomentTable.from_state(state["moments"])
+        self._shard_counts_done = {int(s) for s in state["shard_counts_done"]}
+        self._shard_moments_done = {int(s) for s in state["shard_moments_done"]}
         # The repair epoch must land before the layout is re-derived so
         # a restored leader rebuilds the *repaired* plan and tree.
-        self._shard_epoch = int(state.get("shard_epoch", 0))
+        self._shard_epoch = int(state["shard_epoch"])
         self._shard_commitments = {
             (str(k[0]), int(k[1]), str(k[2])): bytes(v)
             for k, v in zip(
-                state.get("shard_commitment_keys", []),
-                state.get("shard_commitment_values", []),
+                state["shard_commitment_keys"], state["shard_commitment_values"]
             )
         }
         self._build_shard_layout()
-        members_set = self._other_members()
-        self._ld_cached = {
-            pair
-            for pair in self._local_pair_moments
-            if all((m, *pair) in self._member_pair_moments for m in members_set)
-        }
-        # Pairs whose pooled moments the combine tree installed for every
-        # combination are fully served from the combo cache.
-        if self._combo_pair_moments:
-            combo_ids = {combo_id for combo_id, _f, _m in self._combos}
-            coverage: Dict[Tuple[int, int], set] = {}
-            for combo_id, left, right in self._combo_pair_moments:
-                coverage.setdefault((left, right), set()).add(combo_id)
-            self._ld_cached.update(
-                pair for pair, seen in coverage.items() if seen == combo_ids
-            )
         self._lr_request_counter = int(state["request_counter"])

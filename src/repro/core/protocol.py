@@ -100,10 +100,20 @@ class GenDPRProtocol:
             from .resilience import ResilientExchange
 
             self._resilient = ResilientExchange(self)
-            self._exchange = self._resilient
-        else:
-            self._exchange = self._ocall_exchange
         self._integrity = federation.config.integrity.enabled
+
+    @property
+    def _exchange(self):
+        """The round exchange the leader's ECALLs call back into.
+
+        Resolved per access, not stored: a bound method kept on ``self``
+        makes the protocol a reference cycle, and a finished study's
+        whole federation then waits for the cyclic garbage collector
+        instead of being freed when the study returns.
+        """
+        if self._resilient is not None:
+            return self._resilient
+        return self._ocall_exchange
 
     def shard_repair_accounting(self) -> Dict[str, int]:
         """Tree-repair/retry counters of this run (empty when unsharded).
@@ -637,7 +647,7 @@ class GenDPRProtocol:
         pairs are skipped).  ``verify`` marks the integrity layer's
         re-run: the leader compares instead of folding.
         """
-        store, _ref_store = self._leader_stores()
+        store, ref_store = self._leader_stores()
         leader = self._federation.leader_host.enclave
         task_id = leader.ecall(
             "lead_open_shard_task",
@@ -650,7 +660,12 @@ class GenDPRProtocol:
             return False
         self._tree_combine(task_id, f"shard:{kind}", verify=verify)
         leader.ecall(
-            "lead_finish_shard_task", store, task_id, verify, label="shard"
+            "lead_finish_shard_task",
+            store,
+            ref_store,
+            task_id,
+            verify,
+            label="shard",
         )
         return True
 

@@ -41,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
@@ -170,7 +171,10 @@ class ResilientExchange:
     """
 
     def __init__(self, protocol):
-        self._protocol = protocol
+        # Weak: the protocol owns this exchange, and a strong back
+        # reference would leave every finished study in a reference
+        # cycle that only the cyclic garbage collector frees.
+        self._protocol = weakref.proxy(protocol)
         self._federation = protocol.federation
         self._policy = self._federation.config.resilience
         self._router = _ReplyRouter(

@@ -70,8 +70,13 @@ class ProtocolSupervisor:
         # resumes from the last combine boundary, not the phase start.
         protocol._progress_checkpoint = self._seal_progress
         steps = [("init", None)] + list(protocol.phase_steps())
-        for name, step in steps:
-            self._run_step(name, step, clock)
+        try:
+            for name, step in steps:
+                self._run_step(name, step, clock)
+        finally:
+            # The hook would otherwise keep a protocol <-> supervisor
+            # reference cycle alive past the study.
+            protocol._progress_checkpoint = None
         protocol._supervision = self.stats()
         return protocol._build_result(timings)
 

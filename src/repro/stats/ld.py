@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -229,6 +229,126 @@ def pair_moments_scalar(gathered: np.ndarray, inverse: np.ndarray) -> np.ndarray
             mu_lr += value_l & value_r
         out[row] = (mu_l, mu_r, mu_lr, mu_l, mu_r)
     return out
+
+
+def pool_moments(membership: np.ndarray, stats: np.ndarray) -> np.ndarray:
+    """Pool per-party sums into every combination with one product.
+
+    Args:
+        membership: ``C x G`` 0/1 matrix; row ``c`` marks the parties
+            combination ``c`` pools.
+        stats: ``G x ...`` per-party integer sums (``G x P x 5`` pair
+            moments, ``G x W`` allele counts).
+
+    Returns the ``C x ...`` int64 pools, ``out[c] = sum_g
+    membership[c, g] * stats[g]`` — the ``(C x G) . (G x P x 5)``
+    step both the flat LD fetch and every shard leaf (``G = 1``) take.
+    """
+    weights = np.asarray(membership, dtype=np.int64)
+    values = np.asarray(stats, dtype=np.int64)
+    if weights.ndim != 2 or values.ndim < 1 or weights.shape[1] != values.shape[0]:
+        raise GenomicsError("membership must be C x G over G per-party rows")
+    return np.tensordot(weights, values, axes=1)
+
+
+def pool_moments_scalar(membership: np.ndarray, stats: np.ndarray) -> np.ndarray:
+    """Loop reference of :func:`pool_moments` (test oracle)."""
+    weights = np.asarray(membership, dtype=np.int64)
+    values = np.asarray(stats, dtype=np.int64)
+    flat = values.reshape(values.shape[0], -1)
+    out = np.zeros((weights.shape[0], flat.shape[1]), dtype=np.int64)
+    for combo, row in enumerate(weights.tolist()):
+        for party, weight in enumerate(row):
+            for column, value in enumerate(flat[party].tolist()):
+                out[combo, column] += weight * value
+    return out.reshape((weights.shape[0],) + values.shape[1:])
+
+
+def full_moments(binary: np.ndarray) -> np.ndarray:
+    """``(..., 3)`` ``(mu_l, mu_r, mu_lr)`` sums as the five-column tuple.
+
+    For binary genotypes the squared sums repeat the linear ones, which
+    is why the shard wire format carries only three columns.
+    """
+    return np.concatenate((binary, binary[..., :2]), axis=-1)
+
+
+class MomentTable:
+    """Pooled pair moments in dense blocks, one row per pair id.
+
+    ``case`` is the ``C x P x 5`` block of every combination's pooled
+    case-side sums and ``reference`` the ``P x 5`` reference sums, both
+    indexed by the id :meth:`put` assigns a pair.  A pair is cached
+    exactly when it has an id: rows are written for every combination
+    and the reference at once, so nothing is ever partially cached.
+    """
+
+    def __init__(self, num_pools: int):
+        self._ids: Dict[Tuple[int, int], int] = {}
+        self.pairs = np.empty((0, 2), dtype=np.int64)
+        self.case = np.empty((num_pools, 0, 5), dtype=np.int64)
+        self.reference = np.empty((0, 5), dtype=np.int64)
+
+    def __contains__(self, pair: Tuple[int, int]) -> bool:
+        return pair in self._ids
+
+    def missing(self, pairs: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
+        """The distinct ``pairs`` without an id, in first-seen order."""
+        return [pair for pair in dict.fromkeys(pairs) if pair not in self._ids]
+
+    def put(
+        self,
+        pairs: Sequence[Tuple[int, int]],
+        case: np.ndarray,
+        reference: np.ndarray,
+    ) -> None:
+        """Install ``C x len(pairs) x 5`` case and ``len(pairs) x 5``
+        reference rows; a pair that already has an id is overwritten."""
+        ids = [self._ids.setdefault(pair, len(self._ids)) for pair in pairs]
+        grow = len(self._ids) - self.pairs.shape[0]
+        if grow:
+            self.pairs = np.concatenate(
+                (self.pairs, np.zeros((grow, 2), dtype=np.int64))
+            )
+            self.case = np.concatenate(
+                (self.case, np.zeros((self.case.shape[0], grow, 5), np.int64)),
+                axis=1,
+            )
+            self.reference = np.concatenate(
+                (self.reference, np.zeros((grow, 5), dtype=np.int64))
+            )
+        index = np.asarray(ids, dtype=np.int64)
+        self.pairs[index] = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        self.case[:, index] = case
+        self.reference[index] = reference
+
+    def pooled(self, pool: int, pair: Tuple[int, int]) -> List[int]:
+        """Pool ``pool``'s case sums plus the reference sums of ``pair``."""
+        row = self._ids[pair]
+        return (self.case[pool, row] + self.reference[row]).tolist()
+
+    def case_rows(self, pairs: Sequence[Tuple[int, int]]) -> Optional[np.ndarray]:
+        """``C x len(pairs) x 5`` case rows, or ``None`` if one is uncached."""
+        if any(pair not in self._ids for pair in pairs):
+            return None
+        return self.case[:, [self._ids[pair] for pair in pairs]]
+
+    def state(self) -> Dict[str, np.ndarray]:
+        """The table as three arrays (its checkpoint form)."""
+        return {"pairs": self.pairs, "case": self.case, "reference": self.reference}
+
+    @classmethod
+    def from_state(cls, state: Mapping[str, Any]) -> "MomentTable":
+        """Rebuild a table from :meth:`state` (writable copies)."""
+        table = cls(0)
+        table.pairs = np.array(state["pairs"], dtype=np.int64).reshape(-1, 2)
+        table.case = np.array(state["case"], dtype=np.int64)
+        table.reference = np.array(state["reference"], dtype=np.int64)
+        table._ids = {
+            (left, right): row
+            for row, (left, right) in enumerate(table.pairs.tolist())
+        }
+        return table
 
 
 def r_squared_direct(column_left, column_right) -> float:

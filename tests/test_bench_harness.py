@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bench import (
@@ -43,6 +44,14 @@ class TestWorkloads:
         one, _ = paper_cohort(7_430, 200, scale=0.04, seed=5)
         two, _ = paper_cohort(7_430, 200, scale=0.04, seed=5)
         assert one is two
+
+    def test_cohort_cache_keys_on_seed(self):
+        five, _ = paper_cohort(7_430, 200, scale=0.04, seed=5)
+        six, _ = paper_cohort(7_430, 200, scale=0.04, seed=6)
+        assert six is not five
+        assert not np.array_equal(six.case.array(), five.case.array())
+        assert paper_cohort(7_430, 200, scale=0.04, seed=6)[0] is six
+        assert paper_cohort(7_430, 200, scale=0.04, seed=5)[0] is five
 
     def test_paper_config_thresholds(self):
         config = paper_config(200, study_id="x")

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro import partition_cohort
+from repro.config import CollusionPolicy, ResilienceConfig, ShardingConfig
 from repro.core.enclave_logic import GenDPREnclave
 from repro.core.federation import build_federation
 from repro.core.protocol import GenDPRProtocol
+from repro.core.supervisor import ProtocolSupervisor
 from repro.crypto.rng import DeterministicRng
 from repro.errors import ProtocolError, SealingError
+from repro.net import serialization
 from repro.tee.channel import establish_channel
-from repro.tee.sealing import SealedBlob
+from repro.tee.sealing import SealedBlob, unseal
 
 
 @pytest.fixture()
@@ -62,6 +68,60 @@ def _replace_leader(federation):
         replacement.install_channel(leader_end)
         federation.enclaves[member_id].install_channel(member_end)
     return replacement
+
+
+_CHECKPOINT_KEYS = sorted(
+    [
+        "study",
+        "member_ids",
+        "count_ids",
+        "member_counts",
+        "member_sizes",
+        "reference_counts",
+        "reference_rows",
+        "retained",
+        "plain_retained",
+        "combo_ids",
+        "combo_counts",
+        "combo_sizes",
+        "combo_safe",
+        "release_power",
+        "moments",
+        "shard_counts_done",
+        "shard_moments_done",
+        "shard_epoch",
+        "shard_commitment_keys",
+        "shard_commitment_values",
+        "request_counter",
+    ]
+)
+
+
+def _assert_checkpoint_roundtrip(federation, blob):
+    """Restore ``blob`` into a fresh leader enclave and checkpoint again.
+
+    The re-sealed plaintext must equal the original byte for byte, and
+    the moment state must travel as arrays only.  Returns the restored
+    enclave and the decoded payload.
+    """
+    leader_id = federation.leader_id
+    fresh = GenDPREnclave(
+        platform_key=federation.platforms[leader_id].root_key,
+        enclave_id=leader_id,
+        data_auth_key=federation.enclaves[leader_id]._data_signer._key,
+    )
+    fresh.ecall("restore_state", blob)
+    plaintext = unseal(fresh, blob)
+    assert unseal(fresh, fresh.ecall("checkpoint_state")) == plaintext
+    payload = serialization.decode(plaintext)
+    assert sorted(payload["moments"]) == ["case", "pairs", "reference"]
+    assert all(
+        isinstance(value, np.ndarray) for value in payload["moments"].values()
+    )
+    # Pinned inventory: moment state may only ever travel as the three
+    # arrays under "moments", never as per-pair keys or rows.
+    assert sorted(payload) == _CHECKPOINT_KEYS
+    return fresh, payload
 
 
 class TestCheckpointRestore:
@@ -137,13 +197,71 @@ class TestCheckpointRestore:
     def test_checkpoint_roundtrip_preserves_state(self, federation):
         protocol, l_prime = _run_through_maf(federation)
         leader = federation.enclaves[federation.leader_id]
-        blob = leader.ecall("checkpoint_state")
-        fresh = GenDPREnclave(
-            platform_key=federation.platforms[federation.leader_id].root_key,
-            enclave_id=federation.leader_id,
-            data_auth_key=leader._data_signer._key,
+        fresh, payload = _assert_checkpoint_roundtrip(
+            federation, leader.ecall("checkpoint_state")
         )
-        fresh.ecall("restore_state", blob)
         assert fresh._retained["prime"] == l_prime
         assert fresh._member_sizes == leader._member_sizes
         assert fresh._combo_sizes == leader._combo_sizes
+        assert payload["moments"]["pairs"].shape == (0, 2)
+
+    def test_checkpoint_roundtrip_after_ld_flat_collusion(
+        self, small_cohort, study_config
+    ):
+        config = replace(
+            study_config,
+            collusion=CollusionPolicy.static(1),
+            study_id="roundtrip-flat-f1",
+        )
+        federation = build_federation(
+            config, partition_cohort(small_cohort, 3), small_cohort
+        )
+        protocol, _l_prime = _run_through_maf(federation)
+        leader_host = federation.leader_host
+        leader_host.enclave.ecall(
+            "lead_run_ld",
+            leader_host.store,
+            leader_host.reference_store,
+            protocol._ocall_exchange,
+        )
+        _fresh, payload = _assert_checkpoint_roundtrip(
+            federation, leader_host.enclave.ecall("checkpoint_state")
+        )
+        moments = payload["moments"]
+        num_pairs = moments["pairs"].shape[0]
+        assert num_pairs > 0
+        # f0 plus the three 2-of-3 combinations, pooled at ingest.
+        assert moments["case"].shape == (4, num_pairs, 5)
+        assert moments["reference"].shape == (num_pairs, 5)
+
+    def test_checkpoint_roundtrip_at_every_shard_task_boundary(
+        self, small_cohort, study_config, monkeypatch
+    ):
+        config = replace(
+            study_config,
+            collusion=CollusionPolicy.static(1),
+            sharding=ShardingConfig.over(3),
+            resilience=ResilienceConfig.supervised(),
+            study_id="roundtrip-sharded-f1",
+        )
+        federation = build_federation(
+            config, partition_cohort(small_cohort, 3), small_cohort
+        )
+        boundaries = []
+        seal_progress = ProtocolSupervisor._seal_progress
+
+        def record(supervisor):
+            seal_progress(supervisor)
+            boundaries.append(supervisor._checkpoint)
+
+        monkeypatch.setattr(ProtocolSupervisor, "_seal_progress", record)
+        GenDPRProtocol(federation).run()
+        # Three counts tasks, then one moments task per shard owning pairs.
+        assert len(boundaries) > 3
+        table_sizes = []
+        for blob in boundaries:
+            _fresh, payload = _assert_checkpoint_roundtrip(federation, blob)
+            table_sizes.append(payload["moments"]["pairs"].shape[0])
+        assert table_sizes[:3] == [0, 0, 0]
+        assert table_sizes[3:] == sorted(table_sizes[3:])
+        assert table_sizes[-1] > table_sizes[3] > 0

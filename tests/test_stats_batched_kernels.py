@@ -1,16 +1,19 @@
 """Batched numpy kernels vs their scalar loop references.
 
 The shard pipeline leans on vectorised statistics (window pair lists,
-pair-moment slabs, chi-squared rankings, LR matrices).  Each kernel
-ships a ``*_scalar`` loop oracle that evaluates the same primitives in
-the same operation order, so equality here is *exact* — element-wise
-identical over randomised genotype matrices, not approximate.
+pair-moment slabs, membership pooling, chi-squared rankings, LR
+matrices).  Each kernel ships a ``*_scalar`` loop oracle that evaluates
+the same primitives in the same operation order, so equality here is
+*exact* — element-wise identical over randomised genotype matrices, not
+approximate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.stats import chisq, ld, lr_test
 
@@ -139,3 +142,116 @@ class TestLrMatrix:
         slow = lr_test.lr_matrix_scalar(genotypes, case_freq, ref_freq)
         assert np.array_equal(fast, slow)
         assert np.isfinite(fast).all()
+
+
+class TestPoolMoments:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_scalar_on_random_memberships(self, seed):
+        rng = np.random.default_rng(seed)
+        parties = int(rng.integers(1, 7))
+        combos = int(rng.integers(1, 8))
+        membership = rng.integers(0, 2, size=(combos, parties))
+        stats = rng.integers(0, 400, size=(parties, 45, 5))
+        fast = ld.pool_moments(membership, stats)
+        slow = ld.pool_moments_scalar(membership, stats)
+        assert fast.dtype == np.int64
+        assert fast.shape == (combos, 45, 5)
+        assert np.array_equal(fast, slow)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_scalar_on_count_vectors(self, seed):
+        rng = np.random.default_rng(seed)
+        membership = rng.integers(0, 2, size=(4, 3))
+        counts = rng.integers(0, 1_000, size=(3, 60))
+        fast = ld.pool_moments(membership, counts)
+        assert fast.shape == (4, 60)
+        assert np.array_equal(fast, ld.pool_moments_scalar(membership, counts))
+
+    @given(
+        shape=st.tuples(
+            st.integers(1, 6), st.integers(1, 5), st.integers(0, 20)
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_exact_identity(self, shape, seed):
+        combos, parties, pairs = shape
+        rng = np.random.default_rng(seed)
+        membership = rng.integers(0, 2, size=(combos, parties))
+        stats = rng.integers(0, 2**20, size=(parties, pairs, 5))
+        assert np.array_equal(
+            ld.pool_moments(membership, stats),
+            ld.pool_moments_scalar(membership, stats),
+        )
+
+    def test_single_leaf_is_the_membership_broadcast(self):
+        """G = 1 is the shard leaf: membership times the local sums."""
+        rng = np.random.default_rng(5)
+        membership = np.array([1, 0, 1, 1], dtype=np.int64)
+        local = rng.integers(0, 90, size=(12, 3))
+        pooled = ld.pool_moments(membership[:, None], local[None])
+        assert np.array_equal(
+            pooled, membership[:, None, None] * local[None, :, :]
+        )
+
+    def test_rows_sum_their_members(self):
+        stats = np.arange(2 * 4 * 5).reshape(2, 4, 5)
+        pooled = ld.pool_moments([[1, 1], [0, 1], [0, 0]], stats)
+        assert np.array_equal(pooled[0], stats[0] + stats[1])
+        assert np.array_equal(pooled[1], stats[1])
+        assert not pooled[2].any()
+
+    def test_rejects_mismatched_party_axis(self):
+        from repro.errors import GenomicsError
+
+        with pytest.raises(GenomicsError):
+            ld.pool_moments(np.ones((2, 3)), np.ones((4, 6, 5)))
+
+
+class TestMomentTable:
+    def _table(self):
+        table = ld.MomentTable(2)
+        case = np.arange(2 * 3 * 5).reshape(2, 3, 5)
+        reference = 100 + np.arange(3 * 5).reshape(3, 5)
+        table.put([(1, 2), (1, 3), (2, 3)], case, reference)
+        return table, case, reference
+
+    def test_a_pair_is_cached_exactly_when_it_has_an_id(self):
+        table, _case, _reference = self._table()
+        assert len(table.pairs) == 3
+        assert (1, 3) in table and (3, 4) not in table
+        assert table.missing([(3, 4), (1, 2), (3, 4), (0, 9)]) == [(3, 4), (0, 9)]
+
+    def test_pooled_adds_case_and_reference_rows(self):
+        table, case, reference = self._table()
+        assert table.pooled(1, (1, 3)) == (case[1, 1] + reference[1]).tolist()
+
+    def test_put_overwrites_existing_and_appends_new(self):
+        table, case, reference = self._table()
+        table.put(
+            [(2, 3), (4, 5)],
+            np.full((2, 2, 5), 7, dtype=np.int64),
+            np.zeros((2, 5), dtype=np.int64),
+        )
+        assert len(table.pairs) == 4
+        assert table.pooled(0, (2, 3)) == [7] * 5
+        assert table.pooled(1, (1, 2)) == (case[1, 0] + reference[0]).tolist()
+        assert np.array_equal(table.pairs[3], [4, 5])
+
+    def test_case_rows_reads_a_block_or_reports_a_gap(self):
+        table, case, _reference = self._table()
+        assert np.array_equal(table.case_rows([(2, 3), (1, 2)]), case[:, [2, 0]])
+        assert table.case_rows([(1, 2), (7, 8)]) is None
+
+    def test_state_roundtrip_is_exact_and_writable(self):
+        table, _case, _reference = self._table()
+        state = {k: v.copy() for k, v in table.state().items()}
+        for array in state.values():
+            array.flags.writeable = False
+        restored = ld.MomentTable.from_state(state)
+        assert all(
+            np.array_equal(restored.state()[k], table.state()[k]) for k in state
+        )
+        assert restored.missing([(1, 2), (2, 3), (5, 6)]) == [(5, 6)]
+        restored.put([(1, 2)], np.zeros((2, 1, 5)), np.zeros((1, 5)))
+        assert restored.pooled(0, (1, 2)) == [0] * 5

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -293,3 +295,34 @@ class TestByzantineCheckpointRestore:
         # The rejected rollback cost one failover; the clean restore
         # that followed cost another.
         assert federation.failovers == 2
+
+
+class TestTeardown:
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_finished_study_is_freed_without_the_cyclic_collector(
+        self, cohort, base_config, supervised
+    ):
+        """No reference cycle keeps a finished study's federation alive.
+
+        A study allocates few Python objects, so the cyclic collector
+        can go many studies without running; anything held only by a
+        cycle (every enclave, sealed store and channel) stays resident
+        until it does.
+        """
+        config = base_config
+        if supervised:
+            config = dataclasses.replace(
+                config, resilience=ResilienceConfig.supervised()
+            )
+        federation = build_federation(
+            config, partition_cohort(cohort, MEMBERS), cohort
+        )
+        leader = weakref.ref(federation.enclaves[federation.leader_id])
+        gc.collect()
+        gc.disable()
+        try:
+            GenDPRProtocol(federation).run()
+            del federation
+            assert leader() is None
+        finally:
+            gc.enable()
