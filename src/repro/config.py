@@ -125,7 +125,7 @@ class ExecutionConfig:
 
     The paper's evaluation assumes the ``G`` member enclaves compute
     concurrently on separate servers.  ``parallel`` makes the simulation
-    do the same — each OCALL round fans member frames out to a thread
+    do the same — each round fans per-edge enclave work out to a thread
     pool (numpy and hashlib release the GIL on the hot paths) — while
     ``sequential`` keeps the original one-member-at-a-time loop.  Both
     modes produce bit-identical study outcomes; only wall-clock and the
@@ -413,8 +413,9 @@ class ResilienceConfig:
 
     Disabled by default, which preserves the historical fail-stop
     behaviour (any fault raises out of the protocol).  Enabled, the
-    OCALL exchange retries transient per-member failures with
-    exponential backoff on the *simulated* clock, and
+    round engine retries transient failures of every round (OCALL,
+    tree-combine, echo) with exponential backoff on the *simulated*
+    clock, and
     :class:`~repro.core.supervisor.ProtocolSupervisor` checkpoints the
     leader after every phase and performs automated failover when the
     leader enclave crashes.  Members that stay unresponsive past the
@@ -424,8 +425,9 @@ class ResilienceConfig:
     a hang or a wrong answer.
 
     Attributes:
-        enabled: use the resilient exchange and the supervisor.
-        max_attempts: request attempts per member per round before the
+        enabled: give the round engine its retry budget and run the
+            supervisor.
+        max_attempts: delivery attempts per edge per round before the
             member is declared unresponsive.
         backoff_base_s: simulated seconds of backoff after the first
             failed attempt.
@@ -648,8 +650,8 @@ class StudyConfig:
             "num_shards cannot exceed snp_count",
         )
         if self.sharding.enabled and self.resilience.enabled:
-            # Sharded tree rounds run through the resilient exchange and
-            # the tree-repair controller; the composition only makes
+            # Sharded tree rounds run through the round engine's retries
+            # and the tree-repair controller; the composition only makes
             # sense with at least one retry before a member is declared
             # unresponsive (a single attempt would turn every transient
             # drop on a combine edge into a repair).

@@ -33,7 +33,7 @@ from .phases import CollusionReport, CombinationOutcome, StudyResult
 from .pipeline import PipelineOutcome, ld_prune, run_local_pipeline
 from .protocol import GenDPRProtocol, run_study
 from .release import GwasRelease, SnpStatistic, build_release, hybrid_release
-from .resilience import FailureReport, ResilientExchange
+from .resilience import FailureReport
 from .shard import (
     AggregationTree,
     ShardPlan,
@@ -81,7 +81,6 @@ __all__ = [
     "GenDPRProtocol",
     "run_study",
     "FailureReport",
-    "ResilientExchange",
     "AggregationTree",
     "ShardPlan",
     "ShardRange",

@@ -1,9 +1,11 @@
 """GenDPR protocol orchestration.
 
 :class:`GenDPRProtocol` drives one study across a provisioned
-federation: it invokes the leader enclave's phase ECALLs, supplies the
+federation: it invokes the leader enclave's phase ECALLs, schedules the
+tree-combine and echo rounds, and assembles the
+:class:`~repro.core.phases.StudyResult`.  Every round, including the
 OCALL through which the leader exchanges encrypted frames with member
-enclaves, and assembles the :class:`~repro.core.phases.StudyResult`.
+enclaves, runs on the round engine (:mod:`repro.core.resilience`).
 
 Everything that *decides* happens inside the trusted module
 (:mod:`repro.core.enclave_logic`); this orchestrator is part of the
@@ -13,25 +15,19 @@ and accounting.
 
 from __future__ import annotations
 
-import hashlib
-import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..config import StudyConfig
 from ..errors import (
-    AuthenticationError,
     EnclaveCrashedError,
     EquivocationError,
     IntegrityError,
     MemberUnresponsiveError,
-    NetworkError,
     PhaseOrderError,
     ProtocolError,
-    SerializationError,
 )
 from ..genomics.population import Cohort
-from ..net import Envelope, SimulatedNetwork
+from ..net import SimulatedNetwork
 from ..obs import MetricsRegistry, RunReport, SpanCollector, config_fingerprint
 from ..obs.bridge import (
     record_cache_stats,
@@ -48,6 +44,7 @@ from ..obs.bridge import (
 from ..obs.tracer import TRACER
 from .federation import Federation
 from .phases import CollusionReport, CombinationOutcome, StudyResult
+from .resilience import FailureReport, RoundEngine
 from .shard import aggregation_tree, plan_shards
 from .timing import (
     DATA_AGGREGATION,
@@ -66,7 +63,12 @@ class GenDPRProtocol:
     def __init__(self, federation: Federation):
         self._federation = federation
         self._accounting = RoundAccounting()
-        self._executor: Optional[ThreadPoolExecutor] = None
+        #: The round engine: the OCALL callable the leader's phase
+        #: ECALLs call back into, and the one delivery path of every
+        #: tree-combine level and echo ring.  It holds the federation
+        #: and the accounting, never the protocol, so a finished study
+        #: is freed without waiting for the cyclic garbage collector.
+        self._exchange = RoundEngine(federation, self._accounting)
         #: Phase outputs (l_prime / l_double_prime / l_safe); repopulated
         #: deterministically if the supervisor re-runs a phase.
         self._outputs: Dict[str, list] = {}
@@ -79,41 +81,19 @@ class GenDPRProtocol:
         self._shard_epoch = 0
         #: Member replacements spent against ``resilience.max_repairs``.
         self._shard_repairs = 0
-        #: Repair/retry accounting for the observability bridge.
+        #: Repair accounting for the observability bridge; combine-round
+        #: retries come from the engine (``shard_repair_accounting``).
         self._shard_runtime: Dict[str, int] = {
             "repairs": 0,
             "tasks_rerun": 0,
-            "level_retries": 0,
-            "partials_redelivered": 0,
             "verify_runs": 0,
         }
         #: Mid-phase checkpoint hook installed by the supervisor; called
         #: after every completed shard task so a failover resumes from
         #: the last combine boundary instead of the phase start.
         self._progress_checkpoint = None
-        self._resilient = None
-        #: Optional per-round hook installed by the serving layer:
-        #: ``gate(kind)`` returns a context manager entered around every
-        #: OCALL round (fair scheduling + cancellation points).
-        self._round_gate = None
-        if federation.config.resilience.enabled:
-            from .resilience import ResilientExchange
-
-            self._resilient = ResilientExchange(self)
+        self._supervised = federation.config.resilience.enabled
         self._integrity = federation.config.integrity.enabled
-
-    @property
-    def _exchange(self):
-        """The round exchange the leader's ECALLs call back into.
-
-        Resolved per access, not stored: a bound method kept on ``self``
-        makes the protocol a reference cycle, and a finished study's
-        whole federation then waits for the cyclic garbage collector
-        instead of being freed when the study returns.
-        """
-        if self._resilient is not None:
-            return self._resilient
-        return self._ocall_exchange
 
     def shard_repair_accounting(self) -> Dict[str, int]:
         """Tree-repair/retry counters of this run (empty when unsharded).
@@ -121,174 +101,42 @@ class GenDPRProtocol:
         The same numbers ``record_shard`` bridges into ``shard.repair.*``
         metrics for RunReports; exposed so the fuzz oracle can key
         behaviours on repair activity without enabling span tracing.
+        ``level_retries`` is the combine-round subset of the engine's
+        retries; each retry re-ships one partial.
         """
         if not self._federation.config.sharding.enabled:
             return {}
-        return dict(self._shard_runtime, epoch=self._shard_epoch)
+        retries = sum(
+            count
+            for kind, count in self._exchange.retries_by_kind().items()
+            if kind.startswith("shard:")
+        )
+        return dict(
+            self._shard_runtime,
+            level_retries=retries,
+            partials_redelivered=retries,
+            epoch=self._shard_epoch,
+        )
 
     def install_round_gate(self, gate) -> None:
         """Install a round gate: ``gate(kind)`` -> context manager.
 
-        The gate is entered around every OCALL round on both the plain
-        and the resilient exchange path.  The service scheduler uses it
-        for fair round-interleaving across concurrent studies and as
-        the cancellation point (it raises
+        The gate is entered around every round the engine runs: OCALL
+        rounds, tree-combine levels and echo rings.  The service
+        scheduler uses it for fair round-interleaving across concurrent
+        studies and as the cancellation point (it raises
         :class:`~repro.errors.StudyCancelledError` at a round boundary,
         never mid-round).
         """
-        self._round_gate = gate
-
-    @property
-    def round_gate(self):
-        return self._round_gate
+        self._exchange.gate = gate
 
     @property
     def federation(self) -> Federation:
         return self._federation
 
-    # -- OCALL ---------------------------------------------------------------
-
-    def _ocall_exchange(self, kind: str, frames: Dict[str, bytes]) -> Dict[str, bytes]:
-        """Route leader frames to members and collect their answers.
-
-        Per-member enclave compute time is recorded so the phase clock
-        can apply the parallel-round correction (members run on separate
-        servers in a real deployment).  With
-        ``config.execution.mode == "parallel"`` the members of a round
-        are serviced concurrently on a thread pool; both modes produce
-        bit-identical responses (and therefore study outcomes) — only
-        the wall clock differs.
-        """
-        if self._round_gate is not None:
-            with self._round_gate(kind):
-                return self._run_ocall_round(kind, frames)
-        return self._run_ocall_round(kind, frames)
-
-    def _run_ocall_round(
-        self, kind: str, frames: Dict[str, bytes]
-    ) -> Dict[str, bytes]:
-        if self._federation.leader_id in frames:
-            raise ProtocolError("leader cannot ocall itself")
-        injector = self._federation.fault_injector
-        if injector is not None:
-            # Advance the fault plan's round counter even on the plain
-            # path, so partition windows fire identically whether or not
-            # the resilient exchange is in front of them.
-            injector.begin_round(kind)
-        execution = self._federation.config.execution
-        if execution.is_parallel and len(frames) > 1:
-            return self._exchange_parallel(kind, frames)
-        return self._exchange_sequential(kind, frames)
-
-    def _exchange_sequential(
-        self, kind: str, frames: Dict[str, bytes]
-    ) -> Dict[str, bytes]:
-        federation = self._federation
-        network = federation.network
-        leader_id = federation.leader_id
-        responses: Dict[str, bytes] = {}
-        member_times: Dict[str, float] = {}
-        with TRACER.span("round", kind=kind, members=len(frames)):
-            for member_id, frame in frames.items():
-                network.send(
-                    Envelope(
-                        sender=leader_id, receiver=member_id, tag=kind, body=frame
-                    )
-                )
-                inbound = network.receive(member_id, kind)
-                begin = time.perf_counter()
-                reply = federation.hosts[member_id].handle_envelope(inbound)
-                member_times[member_id] = time.perf_counter() - begin
-                if reply is not None:
-                    network.send(reply)
-                    responses[member_id] = network.receive(leader_id, kind).body
-        self._accounting.record_round(member_times, kind=kind)
-        return responses
-
-    def _exchange_parallel(
-        self, kind: str, frames: Dict[str, bytes]
-    ) -> Dict[str, bytes]:
-        """Concurrent fan-out: one worker services one member per round.
-
-        Requests were already built (and AEAD-protected) sequentially by
-        the leader enclave, so per-channel sequence numbers are
-        deterministic; each worker touches only its own member's host,
-        channel and inbox.  Replies land in the leader inbox in arrival
-        order, so they are drained keyed by sender and re-ordered to the
-        request order before returning — the response dict is
-        byte-identical to the sequential path's.
-        """
-        federation = self._federation
-        network = federation.network
-        leader_id = federation.leader_id
-        member_times: Dict[str, float] = {}
-        with TRACER.span("round", kind=kind, members=len(frames), concurrent=True):
-            parent = TRACER.current_span_id() if TRACER.enabled else None
-
-            def service(member_id: str, frame: bytes) -> Tuple[float, bool]:
-                with TRACER.propagated(parent):
-                    network.send(
-                        Envelope(
-                            sender=leader_id,
-                            receiver=member_id,
-                            tag=kind,
-                            body=frame,
-                        )
-                    )
-                    inbound = network.receive(member_id, kind)
-                    # thread_time, not perf_counter: wall time on a
-                    # worker includes slices where sibling threads were
-                    # scheduled, which would inflate this member's
-                    # modelled compute; CPU time of the worker thread is
-                    # what the member's own server would spend.
-                    begin = time.thread_time()
-                    reply = federation.hosts[member_id].handle_envelope(inbound)
-                    elapsed = time.thread_time() - begin
-                    if reply is not None:
-                        network.send(reply)
-                    return elapsed, reply is not None
-
-            executor = self._ensure_executor()
-            wall_begin = time.perf_counter()
-            futures = {
-                member_id: executor.submit(service, member_id, frame)
-                for member_id, frame in frames.items()
-            }
-            replies_expected = 0
-            for member_id, future in futures.items():
-                elapsed, replied = future.result()
-                member_times[member_id] = elapsed
-                replies_expected += 1 if replied else 0
-            wall = time.perf_counter() - wall_begin
-            arrived: Dict[str, bytes] = {}
-            for _ in range(replies_expected):
-                envelope = network.receive(leader_id, kind)
-                arrived[envelope.sender] = envelope.body
-        self._accounting.record_round(
-            member_times, kind=kind, wall_seconds=wall, concurrent=True
-        )
-        # Deterministic response order: request order, not arrival order.
-        return {
-            member_id: arrived[member_id]
-            for member_id in frames
-            if member_id in arrived
-        }
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            execution = self._federation.config.execution
-            width = max(1, len(self._federation.hosts) - 1)
-            self._executor = ThreadPoolExecutor(
-                max_workers=execution.max_workers or width,
-                thread_name_prefix="ocall",
-            )
-        return self._executor
-
     def close(self) -> None:
         """Release the fan-out thread pool (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        self._exchange.close()
 
     # -- Study execution ---------------------------------------------------------
 
@@ -361,13 +209,13 @@ class GenDPRProtocol:
                     gdo: host.enclave.ecall("shard_stats", label="report")
                     for gdo, host in federation.hosts.items()
                 },
-                repair=dict(self._shard_runtime, epoch=self._shard_epoch),
+                repair=self.shard_repair_accounting(),
             )
         if federation.fault_injector is not None:
             record_faults(registry, federation.fault_injector.counters())
-        if self._resilient is not None:
+        if self._supervised:
             record_resilience(
-                registry, self._resilient.stats(), self._supervision
+                registry, self._exchange.stats(), self._supervision
             )
         monitor = federation.integrity_monitor
         if self._integrity or monitor.detections or monitor.quarantined():
@@ -576,7 +424,7 @@ class GenDPRProtocol:
         always starts phases from scratch, so no progress ECALL is
         issued and its ECALL sequence stays byte-identical.
         """
-        if self._resilient is None:
+        if not self._supervised:
             return set()
         progress = self._federation.leader_host.enclave.ecall(
             "shard_progress", label="shard"
@@ -605,7 +453,7 @@ class GenDPRProtocol:
         triggering error — a classified abort, never a silent
         continuation.
         """
-        if self._resilient is None:
+        if not self._supervised:
             self._shard_task_once(kind, shard_index)
             return
         federation = self._federation
@@ -735,10 +583,10 @@ class GenDPRProtocol:
                     )
                     break
                 except EnclaveCrashedError as exc:
-                    if node_id == leader_id or self._resilient is None:
+                    if node_id == leader_id:
                         raise
                     self._spend_repair(
-                        self._shard_unresponsive(
+                        self._exchange.unresponsive(
                             node_id, "shard:repair", 0, "enclave_crashed"
                         )
                     )
@@ -748,8 +596,6 @@ class GenDPRProtocol:
 
     def _quarantine_shard_node(self, exc: EquivocationError) -> None:
         """Record the quarantine decision for an equivocating tree node."""
-        from .resilience import FailureReport
-
         federation = self._federation
         federation.integrity_monitor.quarantine(
             FailureReport(
@@ -769,248 +615,50 @@ class GenDPRProtocol:
                 stage=exc.stage,
             )
 
-    def _shard_unresponsive(
-        self, member_id: str, kind: str, attempts: int, cause: str
-    ) -> MemberUnresponsiveError:
-        """A combine-round failure as a classified, attributed error."""
-        from .resilience import FailureReport
-
-        federation = self._federation
-        counters: Dict[str, int] = dict(self._shard_runtime)
-        injector = federation.fault_injector
-        if injector is not None:
-            counters.update(
-                {f"fault_{k}": v for k, v in injector.counters().items()}
-            )
-        return MemberUnresponsiveError(
-            f"member {member_id!r} lost during {kind!r} ({cause})",
-            report=FailureReport(
-                study_id=federation.config.study_id,
-                member_id=member_id,
-                round_kind=kind,
-                attempts=attempts,
-                cause=cause,
-                simulated_time_s=federation.network.simulated_time,
-                counters=counters,
-            ),
-        )
-
     # -- tree combine --------------------------------------------------------
 
     def _tree_combine(
         self, task_id: str, kind: str, verify: bool = False
     ) -> None:
-        """Drive one task's pairwise combine rounds, deepest level first."""
+        """Drive one task's pairwise combine rounds, deepest level first.
+
+        Each level is one engine round whose ``emit`` step has every
+        child combine its own leaf with its children's partials and
+        protect the result for its parent; the engine then ships each
+        frame and has the parent ingest it.  On a supervised run with
+        the integrity layer active, every emission's signed leaf
+        commitment then goes to the leader's ledger (compared on the
+        verify re-run), in edge order, so the leader's ECALL sequence
+        does not depend on which emit finished first.
+        """
+        federation = self._federation
         _plan, tree = self._shard_structures()
-        for edges in tree.levels():
-            if self._round_gate is not None:
-                with self._round_gate(kind):
-                    self._combine_level(task_id, kind, edges, verify)
-            else:
-                self._combine_level(task_id, kind, edges, verify)
+        emitted: Dict[str, Dict[str, bytes]] = {}
 
-    def _combine_level(
-        self, task_id: str, kind: str, edges, verify: bool = False
-    ) -> None:
-        """One tree level: every child emits its partial to its parent.
-
-        Edges of a level touch distinct children, so parallel execution
-        fans the emits out like an OCALL round; deliveries stay
-        sequential in edge order (partial ingestion is int64 addition —
-        commutative — so arrival grouping cannot change the sums).
-        Under resilience the level runs through the retrying variant;
-        this zero-overhead fast path stays byte-identical otherwise.
-        """
-        if self._resilient is not None:
-            self._combine_level_resilient(task_id, kind, edges, verify)
-            return
-        federation = self._federation
-        network = federation.network
-        injector = federation.fault_injector
-        if injector is not None:
-            injector.begin_round(kind)
-        execution = federation.config.execution
-        parallel = execution.is_parallel and len(edges) > 1
-        member_times: Dict[str, float] = {}
-        with TRACER.span(
-            "shard-level", kind=kind, edges=len(edges), task=task_id
-        ):
-
-            def emit(child: str, parent: str) -> float:
-                host = federation.hosts[child]
-                timer = time.thread_time if parallel else time.perf_counter
-                begin = timer()
-                frame = host.enclave.ecall(
-                    "shard_emit_partial",
-                    host.store,
-                    task_id,
-                    parent,
-                    label="shard",
-                )["frame"]
-                elapsed = timer() - begin
-                network.send(
-                    Envelope(
-                        sender=child, receiver=parent, tag="shard", body=frame
-                    )
-                )
-                return elapsed
-
-            wall_begin = time.perf_counter()
-            if parallel:
-                executor = self._ensure_executor()
-                futures = {
-                    child: executor.submit(emit, child, parent)
-                    for child, parent in edges
-                }
-                for child, future in futures.items():
-                    member_times[child] = future.result()
-            else:
-                for child, parent in edges:
-                    member_times[child] = emit(child, parent)
-            wall = time.perf_counter() - wall_begin
-            for child, parent in edges:
-                inbound = network.receive(parent, "shard")
-                begin = time.perf_counter()
-                federation.hosts[parent].handle_envelope(inbound)
-                member_times[parent] = member_times.get(parent, 0.0) + (
-                    time.perf_counter() - begin
-                )
-        if parallel:
-            self._accounting.record_round(
-                member_times, kind=kind, wall_seconds=wall, concurrent=True
+        def emit(child: str, parent: str) -> bytes:
+            host = federation.hosts[child]
+            emitted[child] = host.enclave.ecall(
+                "shard_emit_partial", host.store, task_id, parent, label="shard"
             )
-        else:
-            self._accounting.record_round(member_times, kind=kind)
+            return emitted[child]["frame"]
 
-    def _combine_level_resilient(
-        self, task_id: str, kind: str, edges, verify: bool
-    ) -> None:
-        """One tree level under :class:`ResilientExchange` semantics.
-
-        Emissions run sequentially in edge order (each delivery's retry
-        pump owns its parent's inbox while the edge is in flight).  The
-        partial frame is AEAD-protected once by the child enclave;
-        retries re-ship the identical bytes and the parent side filters
-        its inbox by the expected frame hash, handing each unique frame
-        to the enclave exactly once — so drop, duplicate, delay and
-        corrupt faults on combine edges are masked without ever tripping
-        channel replay protection.  With the integrity layer active,
-        every emission's signed leaf commitment is forwarded to the
-        leader's ledger (compared on the verify re-run).
-        """
-        federation = self._federation
-        injector = federation.fault_injector
-        if injector is not None:
-            injector.begin_round(kind)
-        member_times: Dict[str, float] = {}
-        with TRACER.span(
-            "shard-level",
-            kind=kind,
-            edges=len(edges),
-            task=task_id,
-            resilient=True,
-        ):
-            for child, parent in edges:
-                host = federation.hosts[child]
-                begin = time.perf_counter()
-                try:
-                    emitted = host.enclave.ecall(
-                        "shard_emit_partial",
-                        host.store,
-                        task_id,
-                        parent,
-                        label="shard",
-                    )
-                except EnclaveCrashedError as exc:
-                    raise self._shard_unresponsive(
-                        child, kind, 0, "enclave_crashed"
-                    ) from exc
-                member_times[child] = member_times.get(child, 0.0) + (
-                    time.perf_counter() - begin
-                )
-                if self._integrity:
-                    federation.leader_host.enclave.ecall(
+        for edges in tree.levels():
+            self._exchange.run(
+                kind,
+                [(child, parent, None) for child, parent in edges],
+                tag="shard",
+                emit=emit,
+            )
+            if self._supervised and self._integrity:
+                leader = federation.leader_host.enclave
+                for child, _parent in edges:
+                    leader.ecall(
                         "lead_ingest_shard_commitment",
-                        emitted["commitment"],
-                        emitted["sig"],
+                        emitted[child]["commitment"],
+                        emitted[child]["sig"],
                         verify,
                         label="integrity",
                     )
-                self._deliver_partial(
-                    kind, child, parent, emitted["frame"], member_times
-                )
-        self._accounting.record_round(member_times, kind=kind)
-
-    def _deliver_partial(
-        self,
-        kind: str,
-        child: str,
-        parent: str,
-        frame: bytes,
-        member_times: Dict[str, float],
-    ) -> None:
-        """Ship one combine frame with bounded retry and hash dedup."""
-        federation = self._federation
-        network = federation.network
-        policy = federation.config.resilience
-        expected = hashlib.sha256(frame).digest()
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                network.send(
-                    Envelope(
-                        sender=child, receiver=parent, tag="shard", body=frame
-                    )
-                )
-            except NetworkError:
-                pass  # partitioned; the bounded retry below rides it out
-            while network.pending(parent):
-                envelope = network.receive(parent)
-                if (
-                    envelope.tag != "shard"
-                    or hashlib.sha256(envelope.body).digest() != expected
-                ):
-                    continue  # corrupted / stale / duplicate copy: junk
-                begin = time.perf_counter()
-                try:
-                    federation.hosts[parent].handle_envelope(envelope)
-                except EnclaveCrashedError as exc:
-                    if parent == federation.leader_id:
-                        raise  # the supervisor's failover machinery
-                    raise self._shard_unresponsive(
-                        parent, kind, attempts, "enclave_crashed"
-                    ) from exc
-                member_times[parent] = member_times.get(parent, 0.0) + (
-                    time.perf_counter() - begin
-                )
-                return
-            if attempts >= policy.max_attempts:
-                raise self._shard_unresponsive(
-                    parent, kind, attempts, "partial_lost"
-                )
-            self._shard_runtime["level_retries"] += 1
-            self._shard_backoff(parent, kind, attempts)
-            self._shard_runtime["partials_redelivered"] += 1
-
-    def _shard_backoff(self, member_id: str, kind: str, attempt: int) -> None:
-        """Exponential backoff on the simulated clock; release stragglers."""
-        policy = self._federation.config.resilience
-        delay = policy.backoff_base_s * policy.backoff_factor ** (attempt - 1)
-        self._federation.network.advance_clock(delay)
-        injector = self._federation.fault_injector
-        released = 0
-        if injector is not None:
-            released = injector.release_delayed(member_id)
-        if TRACER.enabled:
-            TRACER.event(
-                "shard.retry",
-                member=member_id,
-                kind=kind,
-                attempt=attempt,
-                backoff_s=delay,
-                released_delayed=released,
-            )
 
     def _phase_maf(self, clock: PhaseClock) -> None:
         leader = self._federation.leader_host.enclave
@@ -1082,105 +730,51 @@ class GenDPRProtocol:
         """Broadcast-consistency echo over the participant ring.
 
         After a leader broadcast every participant (leader included)
-        exports a signed digest of the payload it holds and sends it to
-        its ring successor — O(G) messages — whose enclave compares it
-        against its own digest.  Any equivocation splits the ring into
-        runs of differing digests, so at least one edge crosses the
-        difference and raises
-        :class:`~repro.errors.EquivocationError`.
+        exports a signed digest of the payload it holds, and the engine
+        ships it to the participant's ring successor — O(G) messages —
+        whose enclave compares it against its own digest.  Any
+        equivocation splits the ring into runs of differing digests, so
+        at least one edge crosses the difference and raises
+        :class:`~repro.errors.EquivocationError`.  A lost echo is
+        retried like any other frame; past the budget it is a
+        :class:`~repro.errors.MemberUnresponsiveError` abort.
         """
         federation = self._federation
         participants = federation.member_ids
         if len(participants) < 2:
             return
-        injector = federation.fault_injector
-        if injector is not None:
-            injector.begin_round("echo")
-        resilience = federation.config.resilience
-        max_attempts = resilience.max_attempts if resilience.enabled else 1
-        with TRACER.span("echo", stage=stage, members=len(participants)):
-            frames: Dict[str, bytes] = {}
-            for node in participants:
-                try:
-                    frames[node] = federation.hosts[node].enclave.ecall(
-                        "export_broadcast_echo", stage, label="echo"
-                    )
-                except PhaseOrderError:
-                    # The node never ingested this stage's broadcast:
-                    # the broadcaster sent it nothing while others got
-                    # the payload — equivocation by omission.
-                    raise EquivocationError(
-                        f"{node} holds no {stage!r} broadcast — withheld "
-                        f"by the broadcaster?",
-                        stage=stage,
-                        reporter=node,
-                        peer=federation.leader_id,
-                    ) from None
-            for index, node in enumerate(participants):
-                successor = participants[(index + 1) % len(participants)]
-                self._deliver_echo(
-                    stage, node, successor, frames[node], max_attempts
-                )
-
-    def _deliver_echo(
-        self,
-        stage: str,
-        sender: str,
-        receiver: str,
-        frame: bytes,
-        max_attempts: int,
-    ) -> None:
-        """Ship one ring echo and have the receiver's enclave verify it.
-
-        Echo frames ride the faulty network like any other message, so
-        delivery retries (bounded by the resilience budget) re-send the
-        identical signed record; corrupted or stray frames are junked
-        by the MAC before they can raise anything but an integrity
-        verdict.
-        """
-        federation = self._federation
-        network = federation.network
-        enclave = federation.hosts[receiver].enclave
-        injector = federation.fault_injector
-        attempt = 0
-        while True:
-            attempt += 1
+        frames: Dict[str, bytes] = {}
+        for node in participants:
             try:
-                network.send(
-                    Envelope(
-                        sender=sender, receiver=receiver, tag="echo", body=frame
-                    )
+                frames[node] = federation.hosts[node].enclave.ecall(
+                    "export_broadcast_echo", stage, label="echo"
                 )
-            except NetworkError:
-                pass  # partitioned; the bounded retry below rides it out
-            while network.pending(receiver):
-                envelope = network.receive(receiver)
-                if envelope.tag != "echo":
-                    continue  # stray frame from an earlier round
-                try:
-                    enclave.ecall(
-                        "verify_broadcast_echo",
-                        stage,
-                        sender,
-                        envelope.body,
-                        label="echo",
-                    )
-                    return
-                except IntegrityError:
-                    raise
-                except (
-                    AuthenticationError,
-                    SerializationError,
-                    ProtocolError,
-                ):
-                    continue  # corrupted/spliced copy: junk, keep pumping
-            if attempt >= max_attempts:
-                raise NetworkError(
-                    f"echo from {sender} to {receiver} lost after "
-                    f"{attempt} attempts"
-                )
-            if injector is not None:
-                injector.release_delayed(receiver)
+            except PhaseOrderError:
+                # The node never ingested this stage's broadcast: the
+                # broadcaster sent it nothing while others got the
+                # payload — equivocation by omission.
+                raise EquivocationError(
+                    f"{node} holds no {stage!r} broadcast — withheld "
+                    f"by the broadcaster?",
+                    stage=stage,
+                    reporter=node,
+                    peer=federation.leader_id,
+                ) from None
+
+        def verify(envelope) -> None:
+            federation.hosts[envelope.receiver].enclave.ecall(
+                "verify_broadcast_echo",
+                stage,
+                envelope.sender,
+                envelope.body,
+                label="echo",
+            )
+
+        ring = [
+            (node, participants[(index + 1) % len(participants)], frames[node])
+            for index, node in enumerate(participants)
+        ]
+        self._exchange.run("echo", ring, verify)
 
     def _build_result(self, timings) -> StudyResult:
         federation = self._federation

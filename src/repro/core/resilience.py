@@ -1,39 +1,43 @@
-"""Resilient OCALL exchange: timeout, retry, dedup, classified aborts.
+"""The round engine: every synchronous round through one delivery path.
 
-The plain exchange in :mod:`repro.core.protocol` assumes perfect
-delivery: a dropped frame raises straight out of the leader's phase
-ECALL.  :class:`ResilientExchange` is a drop-in replacement for the
-OCALL callable that tolerates the faults :mod:`repro.faults` injects
-(and that a real deployment's network exhibits) without changing study
-outcomes:
+GenDPR's leader works in synchronous rounds (``docs/PROTOCOL.md``).
+Leader-to-member OCALL rounds, tree-combine levels and broadcast
+echoes are all one job, and :class:`RoundEngine` is its one copy.  A
+round is a kind plus a list of ``(sender, receiver, frame)`` edges; for
+each edge the engine
 
-* **Timeout detection** — a member whose request, handling or reply did
-  not complete observably is retried, with exponential backoff advanced
-  on the *simulated* clock (:meth:`SimulatedNetwork.advance_clock`), so
-  wall time stays unaffected and runs stay deterministic.
-* **Idempotent re-sends** — a request frame is AEAD-protected *once* by
-  the leader enclave; retries re-ship the identical bytes.  The member
-  side filters its inbox by the expected frame hash (exactly what a
-  transport integrity layer does) and hands each unique frame to its
-  enclave exactly once, so per-channel sequence numbers never skip or
-  repeat and the channel's replay protection is never tripped.  Member
-  replies are likewise protected once, cached, and re-shipped on
-  demand; the leader-side :class:`_ReplyRouter` deduplicates arrivals
-  by frame hash.
-* **Classified aborts** — a member that stays unreachable past the
-  retry budget (or whose enclave crashed) raises
-  :class:`~repro.errors.MemberUnresponsiveError` carrying a structured
-  :class:`FailureReport`; the study never hangs and never silently
-  continues without a member.
+* ships the frame.  The sending enclave protects it *once*, and every
+  retry re-ships the identical bytes;
+* pops the receiver's inbox until a byte-identical copy appears.
+  Corrupted copies, duplicates and late-released frames of earlier
+  rounds are discarded before they reach the enclave, so channel
+  sequence numbers never skip or repeat and replay protection is never
+  tripped;
+* hands the frame to the round's handler exactly once, and routes any
+  reply to the leader through :class:`_ReplyRouter` (dedup by hash);
+* retries a lost frame or reply with exponential backoff on the
+  *simulated* clock, so wall time is unaffected and runs stay
+  deterministic;
+* records member time for the phase clock's parallel-round correction.
+
+Its two parameters come from the study config: the executor
+(``execution.mode``: inline, or a pool fanning per-edge enclave work out
+across distinct enclaves) and the attempt budget
+(``resilience.max_attempts``, 1 when resilience is off).  Fault-free
+traffic is byte-identical under every combination.
+
+Without resilience, errors propagate as raised: a member crash is
+:class:`~repro.errors.EnclaveCrashedError`, a lost frame or a partition
+:class:`~repro.errors.NetworkError`.  Under resilience a member crash or
+an exhausted budget raises :class:`~repro.errors.MemberUnresponsiveError`
+with a :class:`FailureReport`: the study never hangs and never silently
+continues without a member.  A leader-enclave crash always passes
+through to the :class:`~repro.core.supervisor.ProtocolSupervisor`.
 
 Corruption can only be repaired on the request leg: the leader opens
-reply frames *inside* its phase ECALL where no retry is possible, so
-the fault plan degrades reply-leg corruption to a drop (the integrity
-check discarding the record) and the cached-reply re-send recovers it.
-
-A leader-enclave crash is *not* handled here — it surfaces as
-:class:`~repro.errors.EnclaveCrashedError` from the phase ECALL and is
-the :class:`~repro.core.supervisor.ProtocolSupervisor`'s job.
+replies *inside* its phase ECALL where no retry is possible, so the
+fault plan degrades reply-leg corruption to a drop, which the re-shipped
+reply recovers.
 """
 
 from __future__ import annotations
@@ -41,10 +45,11 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-import weakref
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import (
     ChannelError,
@@ -56,6 +61,10 @@ from ..errors import (
 )
 from ..net import Envelope
 from ..obs.tracer import TRACER
+
+#: One edge of a round: ``(sender, receiver, frame)``.  The frame slot
+#: is ``None`` when the round's ``emit`` step builds it.
+Edge = Tuple[str, str, Optional[bytes]]
 
 
 def _frame_hash(body: bytes) -> bytes:
@@ -110,24 +119,18 @@ class _ReplyRouter:
         self._replies: Dict[str, bytes] = {}
         self._kind: Optional[str] = None
         self._expected: Set[str] = set()
+        #: Hashes held by the current and the previous generation.
+        self._tracked = self._tracked_prev = 0
         self.discarded = 0
         #: Peak number of tracked frame hashes (both generations) —
         #: evidence the dedup memory stays bounded across long studies.
         self.seen_high_water = 0
 
-    def _track_high_water(self) -> None:
-        # Caller holds self._lock.
-        tracked = sum(len(s) for s in self._seen.values()) + sum(
-            len(s) for s in self._seen_prev.values()
-        )
-        if tracked > self.seen_high_water:
-            self.seen_high_water = tracked
-
     def begin_round(self, kind: str, expected: Set[str]) -> None:
         with self._lock:
-            self._track_high_water()
             self._seen_prev = dict(self._seen)
             self._seen = defaultdict(set)
+            self._tracked_prev, self._tracked = self._tracked, 0
             self._kind = kind
             self._expected = set(expected)
             self._replies = {}
@@ -144,7 +147,10 @@ class _ReplyRouter:
                     self.discarded += 1
                     continue
                 self._seen[envelope.sender].add(digest)
-                self._track_high_water()
+                self._tracked += 1
+                self.seen_high_water = max(
+                    self.seen_high_water, self._tracked + self._tracked_prev
+                )
                 if (
                     envelope.tag == self._kind
                     and envelope.sender in self._expected
@@ -163,23 +169,29 @@ class _ReplyRouter:
             return dict(self._replies)
 
 
-class ResilientExchange:
-    """OCALL exchange with bounded retry; see the module docstring.
+class RoundEngine:
+    """Runs every round of one study; see the module docstring.
 
-    Callable with the ``(kind, frames) -> responses`` signature the
-    leader enclave's phase ECALLs expect, for both execution modes.
+    Calling the engine runs one OCALL round with the ``(kind, frames)
+    -> responses`` signature the leader enclave's phase ECALLs expect;
+    :meth:`run` is the general form that tree-combine levels and echo
+    rings use.  The engine owns the fan-out thread pool (:meth:`close`
+    releases it).
     """
 
-    def __init__(self, protocol):
-        # Weak: the protocol owns this exchange, and a strong back
-        # reference would leave every finished study in a reference
-        # cycle that only the cyclic garbage collector frees.
-        self._protocol = weakref.proxy(protocol)
-        self._federation = protocol.federation
-        self._policy = self._federation.config.resilience
-        self._router = _ReplyRouter(
-            self._federation.network, self._federation.leader_id
+    def __init__(self, federation, accounting):
+        config = federation.config
+        self._federation = federation
+        self._accounting = accounting
+        self._parallel = config.execution.is_parallel
+        self._max_workers = config.execution.max_workers
+        self._policy = config.resilience
+        self._resilient = config.resilience.enabled
+        self._max_attempts = (
+            config.resilience.max_attempts if self._resilient else 1
         )
+        self._router = _ReplyRouter(federation.network, federation.leader_id)
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._stats_lock = threading.Lock()
         self._stats: Dict[str, int] = {
             "rounds": 0,
@@ -188,12 +200,17 @@ class ResilientExchange:
             "replies_reshipped": 0,
         }
         self._backoff_seconds = 0.0
+        self._retries_by_kind: Dict[str, int] = {}
+        #: Optional ``gate(kind)`` -> context manager entered around
+        #: every round (the serving layer's fair scheduling and
+        #: cancellation point).
+        self.gate = None
 
     # -- stats ---------------------------------------------------------------
 
-    def _bump(self, key: str, amount: int = 1) -> None:
+    def _bump(self, key: str) -> None:
         with self._stats_lock:
-            self._stats[key] += amount
+            self._stats[key] += 1
 
     def stats(self) -> Dict[str, float]:
         with self._stats_lock:
@@ -203,69 +220,22 @@ class ResilientExchange:
         stats["dedup_seen_high_water"] = self._router.seen_high_water
         return stats
 
-    # -- round driver --------------------------------------------------------
+    def retries_by_kind(self) -> Dict[str, int]:
+        """Retries taken per round kind."""
+        with self._stats_lock:
+            return dict(self._retries_by_kind)
+
+    # -- rounds --------------------------------------------------------------
 
     def __call__(self, kind: str, frames: Dict[str, bytes]) -> Dict[str, bytes]:
-        gate = self._protocol.round_gate
-        if gate is not None:
-            with gate(kind):
-                return self._run_round(kind, frames)
-        return self._run_round(kind, frames)
-
-    def _run_round(self, kind: str, frames: Dict[str, bytes]) -> Dict[str, bytes]:
-        federation = self._federation
-        if federation.leader_id in frames:
+        """One OCALL round: leader frames out, member answers back."""
+        leader_id = self._federation.leader_id
+        if leader_id in frames:
             raise ProtocolError("leader cannot ocall itself")
-        if not frames:
-            return {}
-        injector = federation.fault_injector
-        if injector is not None:
-            injector.begin_round(kind)
-        self._bump("rounds")
         self._router.begin_round(kind, expected=set(frames))
-        execution = federation.config.execution
-        accounting = self._protocol._accounting
-        member_times: Dict[str, float] = {}
-        if execution.is_parallel and len(frames) > 1:
-            with TRACER.span(
-                "round", kind=kind, members=len(frames), concurrent=True,
-                resilient=True,
-            ):
-                parent = TRACER.current_span_id() if TRACER.enabled else None
-
-                def service(member_id: str, frame: bytes) -> float:
-                    with TRACER.propagated(parent):
-                        return self._service_member(
-                            kind, member_id, frame, timer=time.thread_time
-                        )
-
-                executor = self._protocol._ensure_executor()
-                wall_begin = time.perf_counter()
-                futures = {
-                    member_id: executor.submit(service, member_id, frame)
-                    for member_id, frame in frames.items()
-                }
-                errors = []
-                for member_id, future in futures.items():
-                    try:
-                        member_times[member_id] = future.result()
-                    except Exception as exc:  # noqa: BLE001 - re-raised below
-                        errors.append(exc)
-                if errors:
-                    raise errors[0]
-                wall = time.perf_counter() - wall_begin
-            accounting.record_round(
-                member_times, kind=kind, wall_seconds=wall, concurrent=True
-            )
-        else:
-            with TRACER.span(
-                "round", kind=kind, members=len(frames), resilient=True
-            ):
-                for member_id, frame in frames.items():
-                    member_times[member_id] = self._service_member(
-                        kind, member_id, frame, timer=time.perf_counter
-                    )
-            accounting.record_round(member_times, kind=kind)
+        self.run(
+            kind, [(leader_id, member, frame) for member, frame in frames.items()]
+        )
         arrived = self._router.replies()
         # Deterministic response order: request order, not arrival order.
         return {
@@ -274,45 +244,166 @@ class ResilientExchange:
             if member_id in arrived
         }
 
-    # -- per-member service state machine ------------------------------------
+    def run(
+        self,
+        kind: str,
+        edges: Sequence[Edge],
+        handler: Optional[Callable[[Envelope], Optional[Envelope]]] = None,
+        *,
+        tag: Optional[str] = None,
+        emit: Optional[Callable[[str, str], bytes]] = None,
+    ) -> None:
+        """Run one round over ``edges``.
 
-    def _service_member(
-        self, kind: str, member_id: str, frame: bytes, *, timer
-    ) -> float:
-        """Drive one member through request → handle → reply, with retry.
+        ``handler(envelope)`` consumes a delivered frame inside the
+        receiving enclave and returns an optional reply to the sender;
+        the default is the receiver host's protocol dispatch.  ``tag``
+        labels the frames on the wire (default: ``kind``).  With
+        ``emit``, ``emit(sender, receiver)`` first builds every edge's
+        frame in the sender's enclave.
 
-        Returns the member's enclave compute seconds.  The state machine
-        is monotonic — ``request_sent``, ``handled``, reply-arrival —
-        and every transient :class:`NetworkError` rewinds only to the
-        first incomplete stage, so completed work (in particular the
-        single AEAD protect per frame) is never repeated.
+        A frame an enclave protected is shipped even when another edge
+        of the round failed — dropping it would put that channel's
+        sequence numbers out of step — and only a receiver that failed
+        stops taking frames.  Then the first failure is raised, in edge
+        order; a failed round is not accounted.
         """
-        federation = self._federation
-        network = federation.network
-        leader_id = federation.leader_id
-        policy = self._policy
-        expected = _frame_hash(frame)
-        request_sent = False
-        handled = False
-        elapsed = 0.0
-        reply: Optional[Envelope] = None
-        attempts = 0
-        while True:
+        if self.gate is None:
+            self._run(kind, edges, handler, tag or kind, emit)
+            return
+        with self.gate(kind):
+            self._run(kind, edges, handler, tag or kind, emit)
+
+    def _run(self, kind, edges, handler, tag, emit) -> None:
+        injector = self._federation.fault_injector
+        if injector is not None:
+            injector.begin_round(kind)
+        self._bump("rounds")
+        handler = handler or self._dispatch
+        frames: List[Optional[bytes]] = [frame for _s, _r, frame in edges]
+        emit_seconds = [0.0] * len(edges)
+        handle_seconds = [0.0] * len(edges)
+        errors: List[Optional[Exception]] = [None] * len(edges)
+
+        def emit_edge(index: int, timer) -> None:
+            sender, receiver, _frame = edges[index]
+            begin = timer()
             try:
-                if not request_sent:
-                    network.send(
-                        Envelope(
-                            sender=leader_id,
-                            receiver=member_id,
-                            tag=kind,
-                            body=frame,
-                        )
+                frames[index] = emit(sender, receiver)
+            except EnclaveCrashedError as exc:
+                errors[index] = self._crash_error(sender, kind, 0, exc)
+            except Exception as exc:  # noqa: BLE001 - raised in edge order
+                errors[index] = exc
+            emit_seconds[index] = timer() - begin
+
+        def deliver_lane(indices: List[int], timer) -> None:
+            for index in indices:
+                sender, receiver, _frame = edges[index]
+                try:
+                    handle_seconds[index] = self._deliver(
+                        kind, tag, sender, receiver, frames[index], handler, timer
                     )
-                    request_sent = True
+                except Exception as exc:  # noqa: BLE001 - raised in edge order
+                    errors[index] = exc
+                    return  # the receiver is lost for this round
+
+        fan_out = self._parallel and len(edges) > 1
+        with TRACER.span(
+            "round", kind=kind, members=len(edges), concurrent=fan_out
+        ):
+            begin = time.perf_counter()
+            if emit is not None:
+                self._fan([partial(emit_edge, i) for i in range(len(edges))])
+            # One lane per receiver delivers its edges in edge order: two
+            # workers pumping one inbox would discard each other's frames.
+            lanes: Dict[str, List[int]] = {}
+            for index, (_sender, receiver, _frame) in enumerate(edges):
+                if errors[index] is None:
+                    lanes.setdefault(receiver, []).append(index)
+            self._fan([partial(deliver_lane, lane) for lane in lanes.values()])
+            wall = time.perf_counter() - begin
+        for error in errors:
+            if error is not None:
+                raise error
+        # Summed in edge order, so member times never depend on which
+        # lane finished first.
+        member_times: Dict[str, float] = defaultdict(float)
+        for index, (sender, receiver, _frame) in enumerate(edges):
+            if emit is not None:
+                member_times[sender] += emit_seconds[index]
+            member_times[receiver] += handle_seconds[index]
+        if fan_out:
+            self._accounting.record_round(
+                member_times, kind=kind, wall_seconds=wall, concurrent=True
+            )
+        else:
+            self._accounting.record_round(member_times, kind=kind)
+
+    def _fan(self, tasks: List[Callable]) -> None:
+        """Run ``tasks(timer)`` inline, or on the pool in parallel mode.
+
+        Pool workers time member work with thread CPU time, not
+        ``perf_counter``: wall time on a worker includes slices where
+        sibling threads were scheduled, which would inflate a member's
+        modelled compute; CPU time of the worker thread is what the
+        member's own server would spend.
+        """
+        if not self._parallel or len(tasks) < 2:
+            for task in tasks:
+                task(time.perf_counter)
+            return
+        parent = TRACER.current_span_id() if TRACER.enabled else None
+
+        def work(task) -> None:
+            with TRACER.propagated(parent):
+                task(time.thread_time)
+
+        if self._executor is None:
+            width = max(1, len(self._federation.hosts) - 1)
+            self._executor = ThreadPoolExecutor(
+                max_workers=self._max_workers or width,
+                thread_name_prefix="round",
+            )
+        futures = [self._executor.submit(work, task) for task in tasks]
+        for future in futures:
+            future.result()
+
+    def close(self) -> None:
+        """Release the fan-out thread pool (idempotent)."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
+
+    # -- one edge ------------------------------------------------------------
+
+    def _dispatch(self, envelope: Envelope) -> Optional[Envelope]:
+        return self._federation.hosts[envelope.receiver].handle_envelope(
+            envelope
+        )
+
+    def _deliver(
+        self, kind, tag, sender, receiver, frame, handler, timer
+    ) -> float:
+        """Drive one edge through ship → handle → reply, with retry.
+
+        Returns the receiver's handling seconds.  The state machine is
+        monotonic — handled, then reply-arrived — and every transient
+        :class:`NetworkError` rewinds only to the first incomplete
+        stage, so completed work (the single handling, the single
+        reply protect) is never repeated.
+        """
+        network = self._federation.network
+        elapsed = 0.0
+        handled = False
+        reply: Optional[Envelope] = None
+        attempt = 0
+        while True:
+            attempt += 1
+            try:
                 if not handled:
-                    inbound = self._pump_member(member_id, expected)
+                    inbound = self._ship(sender, receiver, tag, frame)
                     begin = timer()
-                    reply = federation.hosts[member_id].handle_envelope(inbound)
+                    reply = handler(inbound)
                     elapsed = timer() - begin
                     handled = True
                     if reply is not None:
@@ -325,109 +416,112 @@ class ResilientExchange:
                 # pumped first — a schedule-dependent path that
                 # coverage-keyed replay (repro.fuzz) must not see.
                 self._router.pump()
-                if not self._router.has_reply(member_id):
-                    raise NetworkError(
-                        f"reply from {member_id!r} did not arrive"
-                    )
+                if not self._router.has_reply(receiver):
+                    raise NetworkError(f"reply from {receiver!r} did not arrive")
                 return elapsed
             except EnclaveCrashedError as exc:
-                # The *member's* enclave died mid-handling (a leader
-                # crash never surfaces here: leader ECALLs happen
-                # outside the exchange).  Convert, so the supervisor
-                # does not mistake it for a leader crash.
-                raise MemberUnresponsiveError(
-                    f"member {member_id!r} enclave crashed during {kind!r}",
-                    report=self._failure_report(
-                        member_id, kind, attempts, "enclave_crashed"
-                    ),
-                ) from exc
+                raise self._crash_error(receiver, kind, attempt, exc)
             except (UnknownPeerError, ChannelError):
                 raise  # misconfiguration / protocol bugs are not transient
             except NetworkError as exc:
-                attempts += 1
-                self._bump("retries")
-                if attempts >= policy.max_attempts:
-                    raise MemberUnresponsiveError(
-                        f"member {member_id!r} unresponsive after "
-                        f"{attempts} attempts in round {kind!r}",
-                        report=self._failure_report(
-                            member_id, kind, attempts, str(exc)
-                        ),
+                if attempt >= self._max_attempts:
+                    if not self._resilient:
+                        raise
+                    raise self.unresponsive(
+                        receiver, kind, attempt, str(exc)
                     ) from exc
-                self._backoff(member_id, kind, attempts)
-                if not handled:
-                    # The request may have been lost in flight; rewind
-                    # to the send stage so the next attempt re-ships
-                    # the identical frame bytes (the member-side hash
-                    # filter makes a surviving earlier copy harmless).
-                    request_sent = False
-                if handled and reply is not None and not self._router.has_reply(
-                    member_id
-                ):
+                replying = handled and reply is not None
+                self._backoff(kind, sender, receiver, attempt, replying)
+                if replying and not self._router.has_reply(receiver):
                     # The reply may have been lost; re-ship the cached
                     # frame bytes (protected once — dedup, not replay).
                     try:
-                        network.send(
-                            Envelope(
-                                sender=member_id,
-                                receiver=leader_id,
-                                tag=kind,
-                                body=reply.body,
-                            )
-                        )
+                        network.send(reply)
                         self._bump("replies_reshipped")
                     except NetworkError:
                         pass  # still partitioned; next attempt retries
 
-    def _pump_member(self, member_id: str, expected: bytes) -> Envelope:
-        """Pop the member's inbox until the expected frame appears.
+    def _ship(self, sender: str, receiver: str, tag: str, frame: bytes) -> Envelope:
+        """Send ``frame``, then pop the receiver's inbox until it appears.
 
         Anything else — corrupted copies, late-released frames from
-        earlier rounds, duplicates — fails the hash comparison and is
-        discarded *before* it can reach the enclave and trip the
-        channel's replay protection.  Raises :class:`NetworkError` when
-        the inbox runs out without a match (request lost: retry).
+        earlier rounds, duplicates — is discarded *before* it can reach
+        the enclave.  A blocked send still pumps (a copy from an earlier
+        attempt may have landed since); an inbox that runs out without
+        a copy raises :class:`NetworkError` (frame lost: retry).
         """
         network = self._federation.network
-        while True:
-            envelope = network.receive(member_id)
-            if _frame_hash(envelope.body) == expected:
+        lost: Optional[NetworkError] = None
+        try:
+            network.send(
+                Envelope(sender=sender, receiver=receiver, tag=tag, body=frame)
+            )
+        except (UnknownPeerError, ChannelError):
+            raise
+        except NetworkError as exc:
+            lost = exc  # partitioned; the bounded retry rides it out
+        while network.pending(receiver):
+            envelope = network.receive(receiver)
+            if envelope.body == frame:
                 return envelope
             self._bump("junk_discarded")
             if TRACER.enabled:
                 TRACER.event(
-                    "resilience.junk_discarded",
-                    member=member_id,
-                    tag=envelope.tag,
+                    "resilience.junk_discarded", member=receiver, tag=envelope.tag
                 )
+        raise lost or NetworkError(
+            f"{tag!r} frame from {sender!r} to {receiver!r} was lost"
+        )
 
-    def _backoff(self, member_id: str, kind: str, attempt: int) -> None:
-        """Exponential backoff on the simulated clock; release stragglers."""
+    def _backoff(
+        self, kind: str, sender: str, receiver: str, attempt: int, replying: bool
+    ) -> None:
+        """Exponential backoff on the simulated clock; release stragglers.
+
+        Waiting out the timeout is when delayed frames finally land:
+        those addressed to the receiver and, once it has answered, its
+        reply.  Nothing else is released, so a parallel round's lanes
+        never drop frames into each other's inboxes.
+        """
         policy = self._policy
         delay = policy.backoff_base_s * policy.backoff_factor ** (attempt - 1)
-        network = self._federation.network
-        network.advance_clock(delay)
+        self._federation.network.advance_clock(delay)
         with self._stats_lock:
+            self._stats["retries"] += 1
+            self._retries_by_kind[kind] = self._retries_by_kind.get(kind, 0) + 1
             self._backoff_seconds += delay
         injector = self._federation.fault_injector
         released = 0
         if injector is not None:
-            # Waiting out the timeout is when delayed frames finally
-            # land; release everything in flight around this member.
-            released = injector.release_delayed(member_id)
+            released = injector.release_delayed(receiver)
+            if replying:
+                released += injector.release_delayed(sender, from_node=receiver)
         if TRACER.enabled:
             TRACER.event(
                 "resilience.retry",
-                member=member_id,
+                member=receiver,
                 kind=kind,
                 attempt=attempt,
                 backoff_s=delay,
                 released_delayed=released,
             )
 
-    def _failure_report(
+    # -- classified aborts ---------------------------------------------------
+
+    def _crash_error(
+        self, member_id: str, kind: str, attempts: int, exc: EnclaveCrashedError
+    ) -> Exception:
+        """The error a crash of ``member_id``'s enclave propagates as."""
+        if not self._resilient or member_id == self._federation.leader_id:
+            return exc
+        error = self.unresponsive(member_id, kind, attempts, "enclave_crashed")
+        error.__cause__ = exc
+        return error
+
+    def unresponsive(
         self, member_id: str, kind: str, attempts: int, cause: str
-    ) -> FailureReport:
+    ) -> MemberUnresponsiveError:
+        """A lost member as a classified abort with its failure report."""
         federation = self._federation
         counters = dict(self.stats())
         injector = federation.fault_injector
@@ -435,12 +529,16 @@ class ResilientExchange:
             counters.update(
                 {f"fault_{k}": v for k, v in injector.counters().items()}
             )
-        return FailureReport(
-            study_id=federation.config.study_id,
-            member_id=member_id,
-            round_kind=kind,
-            attempts=attempts,
-            cause=cause,
-            simulated_time_s=federation.network.simulated_time,
-            counters=counters,
+        return MemberUnresponsiveError(
+            f"member {member_id!r} lost during {kind!r} after {attempts} "
+            f"attempt(s) ({cause})",
+            report=FailureReport(
+                study_id=federation.config.study_id,
+                member_id=member_id,
+                round_kind=kind,
+                attempts=attempts,
+                cause=cause,
+                simulated_time_s=federation.network.simulated_time,
+                counters=counters,
+            ),
         )

@@ -123,9 +123,9 @@ class ProtocolSupervisor:
                 need_restore = True
             except EnclaveCrashedError:
                 if not self._federation.leader_host.enclave.crashed:
-                    # Member crashes are converted by the resilient
-                    # exchange before they get here; an unconverted
-                    # crash of a live leader is a real bug.
+                    # A member crash inside a round arrives converted by
+                    # the round engine; one outside a round (a member's
+                    # echo export) aborts the study as raised.
                     raise
                 need_restore = True
                 self._events.append({"event": "leader_crash", "step": name})

@@ -248,18 +248,21 @@ class FaultInjector:
                 return node
         return None
 
-    def release_delayed(self, node_id: str) -> int:
-        """Deliver held envelopes involving ``node_id`` (backoff tick).
+    def release_delayed(
+        self, node_id: str, *, from_node: Optional[str] = None
+    ) -> int:
+        """Deliver held envelopes addressed to ``node_id`` (backoff tick).
 
         Models the delayed frames finally arriving once the retrying
-        peer has waited out its timeout.  Returns the number released.
+        receiver has waited out its timeout; ``from_node`` narrows the
+        release to one link.  Returns the number released.
         """
         network = self._network
         with self._lock:
             due = [
                 e
                 for e in self._pending_delayed
-                if node_id in (e.sender, e.receiver)
+                if e.receiver == node_id and from_node in (None, e.sender)
             ]
             if not due:
                 return 0

@@ -14,8 +14,8 @@ Federation members run on one machine in this reproduction, so the
 Delivery is reliable and ordered per link, matching the TLS-like
 transport an SGX deployment would use between sites.
 
-The router is thread-safe: the parallel execution engine
-(:mod:`repro.core.protocol`) sends and receives from worker threads
+The router is thread-safe: the round engine's parallel executor
+(:mod:`repro.core.resilience`) sends and receives from worker threads
 concurrently.  Each inbox has its own lock (senders to different
 receivers never contend) and link/clock accounting updates atomically
 under a shared stats lock.

@@ -207,13 +207,15 @@ def record_resilience(
     stats: Dict[str, float],
     supervision: Dict[str, object] = None,
 ) -> None:
-    """Feed resilient-exchange (and supervisor) stats into metrics.
+    """Feed round-engine (and supervisor) stats into metrics.
 
-    ``resilience.retries`` counts per-member retry attempts,
+    ``resilience.retries`` counts the retries of every round kind —
+    OCALL rounds, tree-combine levels and echo rings —
     ``resilience.backoff_s`` the simulated seconds the retrying side
     waited, and the ``failovers``/``leader_crashes`` counters record the
     supervisor's recovery work — all visible in the RunReport, so every
-    masked fault leaves a trace.
+    masked fault leaves a trace.  ``shard.repair.level_retries``
+    (:func:`record_shard`) is the combine-round subset of the retries.
     """
     backoff_seconds = float(stats.get("backoff_seconds", 0.0))
     registry.gauge("resilience.backoff_s").set(backoff_seconds)

@@ -99,7 +99,7 @@ class TestTamperedFrames:
         """A router flipping bits in a response frame is caught."""
         federation = fresh_federation
         protocol = GenDPRProtocol(federation)
-        original_ocall = protocol._ocall_exchange
+        original_ocall = protocol._exchange
 
         def corrupting_ocall(kind, frames):
             responses = original_ocall(kind, frames)
@@ -121,7 +121,7 @@ class TestTamperedFrames:
         federation = fresh_federation
         protocol = GenDPRProtocol(federation)
         captured = {}
-        original_ocall = protocol._ocall_exchange
+        original_ocall = protocol._exchange
 
         def replaying_ocall(kind, frames):
             responses = original_ocall(kind, frames)
@@ -150,7 +150,7 @@ class TestTamperedFrames:
     def test_dropped_response_detected(self, fresh_federation):
         federation = fresh_federation
         protocol = GenDPRProtocol(federation)
-        original_ocall = protocol._ocall_exchange
+        original_ocall = protocol._exchange
 
         def dropping_ocall(kind, frames):
             responses = original_ocall(kind, frames)
@@ -175,7 +175,7 @@ class TestTamperedFrames:
         ]
         a, b = members[0], members[1]
         protocol = GenDPRProtocol(federation)
-        original_ocall = protocol._ocall_exchange
+        original_ocall = protocol._exchange
 
         def misrouting_ocall(kind, frames):
             if a in frames and b in frames:

@@ -35,7 +35,7 @@ def _run_through_maf(federation):
         "lead_collect_summaries",
         leader_host.store,
         leader_host.reference_store,
-        protocol._ocall_exchange,
+        protocol._exchange,
     )
     l_prime = leader_host.enclave.ecall("lead_run_maf")
     return protocol, l_prime
@@ -153,13 +153,13 @@ class TestCheckpointRestore:
         ref_store = leader_host.reference_store
 
         l_double_prime = replacement.ecall(
-            "lead_run_ld", store, ref_store, protocol._ocall_exchange
+            "lead_run_ld", store, ref_store, protocol._exchange
         )
         replacement.ecall(
-            "lead_broadcast_retained", "double_prime", protocol._ocall_exchange
+            "lead_broadcast_retained", "double_prime", protocol._exchange
         )
         l_safe = replacement.ecall(
-            "lead_run_lr", store, ref_store, protocol._ocall_exchange
+            "lead_run_lr", store, ref_store, protocol._exchange
         )
 
         assert l_prime == reference.l_prime
@@ -222,7 +222,7 @@ class TestCheckpointRestore:
             "lead_run_ld",
             leader_host.store,
             leader_host.reference_store,
-            protocol._ocall_exchange,
+            protocol._exchange,
         )
         _fresh, payload = _assert_checkpoint_roundtrip(
             federation, leader_host.enclave.ecall("checkpoint_state")
