@@ -1,66 +1,96 @@
 """Ablation — LD-phase communication batching.
 
-The paper's Algorithm 1 exchanges correlation moments strictly per
-adjacent pair (one round per comparison).  This implementation
-prefetches a sliding window of pairs in one round and falls back to
-speculative lookahead on misses — identical decisions, far fewer
-rounds.  The ablation runs the LD-heavy scenario under three window
-settings and reports retained SNPs (which must be identical), message
-counts and wall time, quantifying the design choice DESIGN.md calls
-out.
+The paper's Algorithm 1 exchanges correlation moments per walk
+comparison: one request/response round for each (candidate, next)
+pair the greedy walk tests.  This implementation fetches every pair
+any walk can reach in one round, padded to a public bound of 16 pairs
+per walked SNP, and then walks over the leader's moment table.  The
+ablation runs the LD-heavy scenario traced, with and without collusion
+tolerance, and reports both exchanges:
+
+* per-pair (paper): one single-pair round per pooled lookup the walks
+  made, which is the leader's ``ld_pairs_requested`` counter;
+* one padded round (measured): ``ld`` rounds, LD wire bytes and the
+  padded pair rows members computed.
+
+Decisions must equal the pooled pipeline's.
 """
 
 from __future__ import annotations
 
-from repro.bench import PAPER_CASE_FULL, paper_cohort, paper_config, render_table
-from repro.core import enclave_logic
+from dataclasses import replace
+
+from repro.bench import (
+    PAPER_CASE_FULL,
+    PAPER_THRESHOLDS,
+    paper_cohort,
+    paper_config,
+    render_table,
+)
+from repro.config import CollusionPolicy, ObservabilityConfig
+from repro.core.pipeline import run_local_pipeline
 from repro.core.protocol import run_study
 
 SNPS = 2_500
-SETTINGS = [(1, 1), (4, 16), (8, 32)]
+MEMBERS = 3
+POLICIES = {"f=0": CollusionPolicy.none(), "f=1": CollusionPolicy((1,))}
 
 
-def _run_with_window(cohort, window: int, lookahead: int):
-    original_window = enclave_logic._LD_WINDOW
-    original_lookahead = enclave_logic._LD_LOOKAHEAD
-    enclave_logic._LD_WINDOW = window
-    enclave_logic._LD_LOOKAHEAD = lookahead
-    try:
-        config = paper_config(SNPS, study_id=f"ld-ablation-w{window}")
-        return run_study(cohort, config, num_members=3)
-    finally:
-        enclave_logic._LD_WINDOW = original_window
-        enclave_logic._LD_LOOKAHEAD = original_lookahead
+def _run(cohort, label: str, policy: CollusionPolicy):
+    config = paper_config(SNPS, study_id=f"ld-ablation-{label}", collusion=policy)
+    config = replace(config, observability=ObservabilityConfig.tracing())
+    return run_study(cohort, config, num_members=MEMBERS)
+
+
+def _ld_bytes(result) -> int:
+    return sum(
+        span.attributes["wire_bytes"]
+        for span in result.observability.spans
+        if span.name == "net.send" and span.attributes["tag"] == "ld"
+    )
 
 
 def test_ablation_ld_batching(benchmark, save_result):
     cohort, _ = paper_cohort(PAPER_CASE_FULL, SNPS)
 
     def run_all():
-        return [
-            (window, lookahead, _run_with_window(cohort, window, lookahead))
-            for window, lookahead in SETTINGS
-        ]
+        return {
+            label: _run(cohort, label, policy) for label, policy in POLICIES.items()
+        }
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    rows = [
-        [
-            f"window={window} lookahead={lookahead}",
-            result.retained_after_ld,
-            result.network_messages,
-            f"{result.timings.total_seconds * 1000:.1f}",
-        ]
-        for window, lookahead, result in results
-    ]
+    rows = []
+    for label, result in results.items():
+        counters = result.observability.metrics["counters"]
+        comparisons = counters["enclave.ld_pairs_requested"]
+        rounds = result.ocall_rounds.get("ld", 0)
+        rows.append([label, "per-pair (paper)", comparisons, "-", comparisons])
+        rows.append(
+            [
+                label,
+                "one padded round",
+                rounds,
+                _ld_bytes(result),
+                counters["enclave.ld_pairs_fetched"],
+            ]
+        )
+        # One planned round, plus any a union beyond the bound took.
+        assert rounds == 1 + counters["enclave.ld_overflow_rounds"]
+        assert comparisons > rounds
     save_result(
         "ablation_ld",
-        "Ablation: LD-phase batching (decisions must be identical).\n"
+        "Ablation: LD-phase exchange, per-pair rounds vs one padded round "
+        f"({SNPS} SNPs, {MEMBERS} GDOs; decisions identical).\n"
         + render_table(
-            ["Setting", "LD retained", "Messages", "Total ms"], rows
+            ["Policy", "Exchange", "LD rounds", "LD bytes", "Pairs sent"], rows
         ),
     )
-    retained_sets = {tuple(r.l_double_prime) for _, _, r in results}
-    assert len(retained_sets) == 1, "batching must never change LD decisions"
-    # Wider windows strictly reduce message counts.
-    messages = [r.network_messages for _, _, r in results]
-    assert messages[0] >= messages[1] >= messages[2]
+    pooled = run_local_pipeline(
+        cohort.case.array(),
+        cohort.reference.array(),
+        maf_cutoff=PAPER_THRESHOLDS.maf_cutoff,
+        ld_cutoff=PAPER_THRESHOLDS.ld_cutoff,
+        alpha=PAPER_THRESHOLDS.false_positive_rate,
+        beta=PAPER_THRESHOLDS.power_threshold,
+    )
+    assert results["f=0"].l_double_prime == pooled.l_double_prime

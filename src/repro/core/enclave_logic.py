@@ -20,9 +20,10 @@ Data flow per phase (paper Sections 5.3-5.5):
 * **Phase 1 (MAF)** — leader-local: aggregate counts, filter on folded
   global MAF, intersect across collusion combinations.
 * **Phase 2 (LD)** — leader walks adjacent pairs of the retained list,
-  requesting the five correlation sums per pair from every member,
-  aggregating them with its own and the reference set's, and keeping
-  the better chi-squared-ranked SNP of each dependent pair.
+  keeping the better chi-squared-ranked SNP of each dependent pair.
+  Beforehand it requests the correlation sums of every pair the walk
+  can reach from every member in one padded round, and pools them with
+  its own and the reference set's.
 * **Phase 3 (LR-test)** — leader broadcasts the global case/reference
   frequency vectors, members return local LR matrices, the leader
   merges them with its own and the reference matrix and runs the
@@ -42,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,12 +71,15 @@ from .shard import AggregationTree, ShardPlan, aggregation_tree, plan_shards
 #: Host-routed exchange: {peer_id: request_frame} -> {peer_id: response_frame}.
 OcallExchange = Callable[[str, Dict[str, bytes]], Dict[str, bytes]]
 
-#: Width of the sliding pair window prefetched in one round before the LD
-#: walk starts: pair (i, j) is prefetched when j - i <= _LD_WINDOW.
-_LD_WINDOW = 8
-#: Speculative pairs fetched per on-demand round when the walk needs a
-#: pair outside the prefetched window (a candidate outliving a block).
-_LD_LOOKAHEAD = 32
+#: Padded LD pairs per walked SNP.  One ``ld`` round carries exactly
+#: ``_LD_PAD_PER_SNP * max(|L'|, |L'_plain|)`` pairs (a moments shard
+#: task ``_LD_PAD_PER_SNP`` per walked SNP in its range), so the frame
+#: sizes depend on the published retained sets only, never on the
+#: private ranking that shapes the reachable pair set.  Measured maxima:
+#: 13.3 reachable pairs per L' SNP over 80 f=0 cohorts, and 14.65 per
+#: ``max(|L'|, |L'_plain|)`` for the f=1 union over 24 cohorts.  A
+#: larger union takes further padded rounds (``ld_overflow_rounds``).
+_LD_PAD_PER_SNP = 16
 
 _STAGES = ("prime", "double_prime", "safe")
 
@@ -90,6 +94,24 @@ _SHARD_COUNTER_ZERO = {
     "partial_bytes": 0,
     "peak_partial_bytes": 0,
 }
+
+
+def _padded(pairs: np.ndarray, bound: int) -> np.ndarray:
+    """``pairs`` followed by repeats of its first row: ``bound`` rows."""
+    out = np.repeat(pairs[:1], bound, axis=0)
+    out[: len(pairs)] = pairs
+    return out
+
+
+_INT32 = np.iinfo(np.int32)
+
+
+def _wire_int32(values: np.ndarray, what: str) -> np.ndarray:
+    """Narrow integer ``values`` to the int32 wire format, range-checked."""
+    array = np.asarray(values)
+    if array.size and (array.min() < _INT32.min or array.max() > _INT32.max):
+        raise ProtocolError(f"{what} overflow the int32 wire format")
+    return array.astype(np.int32)
 
 
 class GenDPREnclave(Enclave):
@@ -130,11 +152,12 @@ class GenDPREnclave(Enclave):
         self._combo_safe: Dict[str, Tuple[int, ...]] = {}
         self._release_power = 0.0
         self._lr_request_counter = 0
-        # Moment-exchange cache effectiveness (observability only, not
-        # protocol state): pooled-lookup count vs. pairs actually fetched
-        # from members over the wire.
+        # LD exchange accounting (observability only, not protocol
+        # state): pooled lookups by the walks, padded pairs members
+        # computed, and padded rounds beyond the planned exchange.
         self._ld_pairs_requested = 0
         self._ld_pairs_fetched = 0
+        self._ld_overflow_rounds = 0
         # SNP-range sharding: every enclave derives the same plan and
         # aggregation tree from the attested study parameters, so a
         # Byzantine orchestrator can neither reroute shards nor re-root
@@ -154,10 +177,9 @@ class GenDPREnclave(Enclave):
         #: Leader ledger of leaf commitments, keyed (kind, shard, node);
         #: the integrity layer's verification re-run compares against it.
         self._shard_commitments: Dict[Tuple[str, int, str], bytes] = {}
-        self._ld_shard_buckets: Optional[Dict[int, List[Tuple[int, int]]]] = None
+        #: Padded LD pair bucket and its real-pair count per moments shard.
+        self._ld_shard_buckets: Optional[Dict[int, Tuple[np.ndarray, int]]] = None
         self._shard_counters: Dict[str, int] = dict(_SHARD_COUNTER_ZERO)
-        # Memoized sliding-window pair lists keyed by the SNP list bytes.
-        self._window_pairs_cache: Dict[bytes, List[Tuple[int, int]]] = {}
         # Member-side record of leader broadcasts.
         self._received_retained: Dict[str, List[int]] = {}
         # Outbound payload audit trail (kind, peer, bytes, genotype_rows).
@@ -349,6 +371,7 @@ class GenDPREnclave(Enclave):
         self._lr_request_counter = 0
         self._ld_pairs_requested = 0
         self._ld_pairs_fetched = 0
+        self._ld_overflow_rounds = 0
         self._received_retained = {}
         self._audit_log = []
         self._broadcast_digests = {}
@@ -363,7 +386,6 @@ class GenDPREnclave(Enclave):
         self._shard_commitments = {}
         self._ld_shard_buckets = None
         self._shard_counters = dict(_SHARD_COUNTER_ZERO)
-        self._window_pairs_cache = {}
 
     @staticmethod
     def _build_combinations(
@@ -450,17 +472,17 @@ class GenDPREnclave(Enclave):
             return reader.column_sums()
 
     def _local_moments(
-        self, store: SealedColumnStore, pairs: Sequence[Tuple[int, int]]
+        self, store: SealedColumnStore, pairs: np.ndarray
     ) -> np.ndarray:
-        """Five correlation sums per requested pair (rows match input).
+        """Five correlation sums per ``(P, 2)`` pair row (rows match input).
 
         Vectorised: the unique columns are gathered once through the
         sealed store (one unseal per chunk), then all pair sums are
         computed as matrix reductions.
         """
-        if not pairs:
-            return np.zeros((0, 5), dtype=np.int64)
         pair_array = np.asarray(pairs, dtype=np.int64)
+        if pair_array.shape[0] == 0:
+            return np.zeros((0, 5), dtype=np.int64)
         unique_columns, inverse = np.unique(pair_array, return_inverse=True)
         inverse = inverse.reshape(pair_array.shape)
         with ColumnReader(self, store) as reader:
@@ -506,18 +528,21 @@ class GenDPREnclave(Enclave):
 
     @ecall
     def answer_ld(self, store: SealedColumnStore, frame: bytes) -> bytes:
-        """Compute local correlation sums for the requested SNP pairs."""
+        """Compute local ``(mu_l, mu_r, mu_lr)`` sums for every requested
+        pair row, padding included (int32 on the wire)."""
         leader = self._config()["leader_id"]
         request = self._open(leader, "ld", frame)
         pair_array = np.asarray(request["pairs"], dtype=np.int64)
         if pair_array.ndim != 2 or pair_array.shape[1] != 2:
             raise ProtocolError("malformed LD pair request")
-        pairs = [(int(l), int(r)) for l, r in pair_array]
-        moments = self._local_moments(store, pairs)
+        moments = self._local_moments(store, pair_array)[:, :3]
         return self._protect(
             leader,
             "ld",
-            {"req_id": request["req_id"], "moments": moments},
+            {
+                "req_id": request["req_id"],
+                "moments": _wire_int32(moments, "LD moments"),
+            },
         )
 
     @ecall
@@ -822,9 +847,7 @@ class GenDPREnclave(Enclave):
                 pair_array.min() < 0 or pair_array.max() >= snp_count
             ):
                 raise ProtocolError("shard pair list references unknown SNPs")
-            normalized["pairs"] = [
-                (int(left), int(right)) for left, right in pair_array
-            ]
+            normalized["pairs"] = pair_array
         self._shard_tasks[normalized["task"]] = normalized
         self._shard_counters["tasks_accepted"] += 1
 
@@ -949,7 +972,11 @@ class GenDPREnclave(Enclave):
         frame = self._protect(
             parent,
             "shard",
-            {"task": task_id, "stats": stats, "counts": counts},
+            {
+                "task": task_id,
+                "stats": _wire_int32(stats, "shard partial sums"),
+                "counts": _wire_int32(counts, "shard pool sizes"),
+            },
         )
         record, sig = self._shard_commitment_record(spec, leaf_digest)
         self._shard_counters["partials_emitted"] += 1
@@ -1012,31 +1039,41 @@ class GenDPREnclave(Enclave):
         self._shard_counters["partials_ingested"] += 1
         self._note_partial(accum["stats"], accum["counts"])
 
-    def _ld_shard_pair_buckets(self) -> Dict[int, List[Tuple[int, int]]]:
-        """The LD pair union partitioned by owning shard (cached)."""
+    def _ld_shard_pair_buckets(self) -> Dict[int, Tuple[np.ndarray, int]]:
+        """The LD pair union bucketed by the shard owning each right SNP.
+
+        A shard's bound is ``_LD_PAD_PER_SNP`` times the most SNPs any
+        walked list has in its range, so it depends on the published
+        retained sets only.  Its bucket keeps at most that many pairs,
+        padded to exactly the bound; pairs beyond it are left to the
+        flat overflow round of ``lead_run_ld``.  Maps shard index to
+        ``(padded pairs, real pair count)``; a shard owning no pair is
+        absent.  Cached per study.
+        """
         if self._ld_shard_buckets is None:
             plan = self._shard_plan_required()
-            if "prime" not in self._retained:
-                raise PhaseOrderError("MAF phase has not run")
-            union = dict.fromkeys(self._window_pairs(self._retained["prime"]))
-            if len(self._combos) > 1:
-                union.update(
-                    dict.fromkeys(
-                        self._window_pairs(self._plain_retained["prime"])
-                    )
-                )
-            buckets: Dict[int, List[Tuple[int, int]]] = {}
-            if union:
-                pairs = list(union)
-                starts = np.asarray(
-                    [r.start for r in plan.ranges], dtype=np.int64
-                )
-                lefts = np.asarray([p[0] for p in pairs], dtype=np.int64)
-                owners = np.searchsorted(starts, lefts, side="right") - 1
-                for pair, owner in zip(pairs, owners.tolist()):
-                    buckets.setdefault(int(owner), []).append(pair)
+            walks = self._ld_walks()
+            union = self._ld_pair_union(walks)
+            starts = np.asarray([r.start for r in plan.ranges], dtype=np.int64)
+            stops = np.asarray([r.stop for r in plan.ranges], dtype=np.int64)
+            in_range = np.max(
+                [np.searchsorted(w, stops) - np.searchsorted(w, starts) for w in walks],
+                axis=0,
+            )
+            owners = np.searchsorted(starts, union[:, 1], side="right") - 1
+            buckets: Dict[int, Tuple[np.ndarray, int]] = {}
+            for shard in plan.ranges:
+                bound = _LD_PAD_PER_SNP * int(in_range[shard.index])
+                real = union[owners == shard.index][:bound]
+                if len(real):
+                    buckets[shard.index] = (_padded(real, bound), len(real))
             self._ld_shard_buckets = buckets
         return self._ld_shard_buckets
+
+    def _real_shard_pairs(self, spec: Dict[str, Any]) -> np.ndarray:
+        """The real (unpadded) prefix of a moments task's pair list."""
+        _padded_pairs, real = self._ld_shard_pair_buckets()[int(spec["shard"])]
+        return spec["pairs"][:real]
 
     @ecall
     def lead_open_shard_task(
@@ -1055,10 +1092,10 @@ class GenDPREnclave(Enclave):
             raise ProtocolError(f"shard index {shard_index} out of range")
         spec: Dict[str, Any] = {"kind": kind, "shard": int(shard_index)}
         if kind == "moments":
-            pairs = self._ld_shard_pair_buckets().get(int(shard_index), [])
-            if not pairs:
+            bucket = self._ld_shard_pair_buckets().get(int(shard_index))
+            if bucket is None:
                 return None
-            spec["pairs"] = np.asarray(pairs, dtype=np.int64)
+            spec["pairs"] = _wire_int32(bucket[0], "shard pair list")
         self._lr_request_counter += 1
         task_id = f"shard-{kind}-{shard_index}-{self._lr_request_counter}"
         spec["task"] = task_id
@@ -1124,15 +1161,17 @@ class GenDPREnclave(Enclave):
                     "pooled shard size diverges from declared member sizes"
                 )
         else:
-            pairs = spec["pairs"]
+            pairs = self._real_shard_pairs(spec)
             for index, (combo_id, _f, _members) in enumerate(self._combos):
                 self._check_combo_size(combo_id, int(counts[index]))
             # The reference side is computed here, once per task, so
             # every installed pair has its complete table row.
             with ColumnReader(self, ref_store) as ref_reader:
                 reference = self._reference_moments(ref_reader, pairs)
-            self._moments.put(pairs, ld.full_moments(stats), reference)
-            self._ld_pairs_fetched += len(pairs)
+            self._moments.put(
+                pairs, ld.full_moments(stats[:, : len(pairs)]), reference
+            )
+            self._ld_pairs_fetched += len(spec["pairs"])
             self._shard_moments_done.add(int(spec["shard"]))
         self._drop_shard_task(task_id)
 
@@ -1173,8 +1212,9 @@ class GenDPREnclave(Enclave):
             if all(c is not None for c in installed):
                 folded = np.stack([c[shard.start : shard.stop] for c in installed])
         else:
-            folded = self._moments.case_rows(spec["pairs"])
-            stats = ld.full_moments(stats)
+            pairs = self._real_shard_pairs(spec)
+            folded = self._moments.case_rows(pairs)
+            stats = ld.full_moments(stats[:, : len(pairs)])
         if (
             folded is None
             or sizes != counts.tolist()
@@ -1454,75 +1494,106 @@ class GenDPREnclave(Enclave):
     # -- Phase 2: LD -----------------------------------------------------------
 
     def _reference_moments(
-        self, ref_reader: ColumnReader, pairs: Sequence[Tuple[int, int]]
+        self, ref_reader: ColumnReader, pairs: np.ndarray
     ) -> np.ndarray:
-        """Five correlation sums per pair over the reference population."""
+        """Five correlation sums per pair row over the reference population."""
         pair_array = np.asarray(pairs, dtype=np.int64)
         unique_columns, inverse = np.unique(pair_array, return_inverse=True)
         gathered = ref_reader.columns(unique_columns.tolist())
         return ld.pair_moments_kernel(gathered, inverse.reshape(pair_array.shape))
 
+    def _ld_walks(self) -> List[List[int]]:
+        """The SNP lists the LD walks traverse: the intersected ``L'``
+        and, with collusion tolerance, the plain track's ``L'``."""
+        if "prime" not in self._retained:
+            raise PhaseOrderError("MAF phase has not run")
+        walks = [self._retained["prime"]]
+        if len(self._combos) > 1:
+            walks.append(self._plain_retained["prime"])
+        return walks
+
+    def _ld_pair_union(self, walks: List[List[int]]) -> np.ndarray:
+        """Distinct ``(P, 2)`` pairs any walk over ``walks`` can compare.
+
+        Every walk breaks dependent pairs by the study's f0 ranking, so
+        the reachable sets are known before any moment is fetched.
+        """
+        ranking = self._ranking("f0")
+        pairs = np.concatenate([ld.reachable_pairs(w, ranking) for w in walks])
+        # One int64 code per pair (SNP indices fit in 32 bits) dedupes
+        # several times faster than np.unique(axis=0).
+        codes = np.unique((pairs[:, 0] << 32) | pairs[:, 1])
+        return np.stack((codes >> 32, codes & 0xFFFFFFFF), axis=1)
+
     def _fetch_moments(
         self,
-        pairs: List[Tuple[int, int]],
+        pairs: np.ndarray,
+        bound: int,
         store: SealedColumnStore,
         ref_reader: ColumnReader,
         ocall: OcallExchange,
-    ) -> None:
-        """One request/response round for pair moments not yet cached.
+    ) -> int:
+        """Fetch the moments of ``pairs`` in rounds of exactly ``bound``.
 
-        The validated member answers and the leader's own sums are
-        pooled into every combination at once by the membership product
-        the shard leaves apply, so per-member moments are never stored.
+        Each request carries ``bound`` pair rows as int32, the real
+        pairs padded with repeats of the first, and each member answers
+        every row.  The leader range-checks each answer against the
+        member's declared size, keeps the real prefix, and pools it with
+        its own sums into every combination by one membership product,
+        so per-member moments are never stored.  Returns the rounds sent.
         """
         members = self._other_members()
-        missing = self._moments.missing(pairs)
-        self._ld_pairs_fetched += len(missing)
-        if not missing:
-            return
-        self._lr_request_counter += 1
-        request_id = f"ld-{self._lr_request_counter}"
-        payload = {
-            "req_id": request_id,
-            "pairs": np.asarray(missing, dtype=np.int64),
-        }
-        requests = {
-            member: self._protect(member, "ld", payload) for member in members
-        }
-        responses = ocall("ld", requests)
         parties = self._config()["member_ids"]
-        per_party = np.empty((len(parties), len(missing), 5), dtype=np.int64)
-        for member in members:
-            answer = self._open(member, "ld", responses[member])
-            if answer["req_id"] != request_id:
-                raise ProtocolError(f"stale LD response from {member}")
-            moments = np.asarray(answer["moments"], dtype=np.int64)
-            if moments.shape != (len(missing), 5):
-                raise ProtocolError(f"malformed LD response from {member}")
-            size = self._member_sizes[member]
-            # Untrusted peer input: validate the whole batch vectorised.
-            if moments.min(initial=0) < 0 or moments.max(initial=0) > size:
-                raise ProtocolError(
-                    f"LD moments from {member} are inconsistent with its "
-                    f"declared population size"
-                )
-            per_party[parties.index(member)] = moments
-        per_party[parties.index(self.enclave_id)] = self._local_moments(
-            store, missing
-        )
         membership = np.stack(
             [self._combo_membership(party) for party in parties], axis=1
         )
-        self._moments.put(
-            missing,
-            ld.pool_moments(membership, per_party),
-            self._reference_moments(ref_reader, missing),
-        )
+        rounds = 0
+        for start in range(0, len(pairs), bound):
+            real = pairs[start : start + bound]
+            self._lr_request_counter += 1
+            request_id = f"ld-{self._lr_request_counter}"
+            payload = {
+                "req_id": request_id,
+                "pairs": _wire_int32(_padded(real, bound), "LD pair request"),
+            }
+            requests = {
+                member: self._protect(member, "ld", payload) for member in members
+            }
+            responses = ocall("ld", requests)
+            per_party = np.empty((len(parties), len(real), 3), dtype=np.int64)
+            for member in members:
+                answer = self._open(member, "ld", responses[member])
+                if answer["req_id"] != request_id:
+                    raise ProtocolError(f"stale LD response from {member}")
+                moments = np.asarray(answer["moments"], dtype=np.int64)
+                if moments.shape != (bound, 3):
+                    raise ProtocolError(f"malformed LD response from {member}")
+                size = self._member_sizes[member]
+                # Untrusted peer input: validate the whole batch vectorised.
+                if moments.min(initial=0) < 0 or moments.max(initial=0) > size:
+                    raise ProtocolError(
+                        f"LD moments from {member} are inconsistent with its "
+                        f"declared population size"
+                    )
+                per_party[parties.index(member)] = moments[: len(real)]
+            per_party[parties.index(self.enclave_id)] = self._local_moments(
+                store, real
+            )[:, :3]
+            self._moments.put(
+                real,
+                ld.full_moments(ld.pool_moments(membership, per_party)),
+                self._reference_moments(ref_reader, real),
+            )
+            self._ld_pairs_fetched += bound
+            rounds += 1
+        return rounds
 
     def _combo_moments(
         self, combo_index: int, pair: Tuple[int, int]
     ) -> ld.PairMoments:
         """Pooled moments of a pair for one combination (case + reference)."""
+        if pair not in self._moments:
+            raise ProtocolError("LD walk reached a pair outside the fetched set")
         self._ld_pairs_requested += 1
         combo_id = self._combos[combo_index][0]
         return ld.PairMoments(
@@ -1537,126 +1608,65 @@ class GenDPREnclave(Enclave):
         ref_store: SealedColumnStore,
         ocall: OcallExchange,
     ) -> List[int]:
-        """Phase 2: greedy adjacent-pair LD pruning per combination."""
+        """Phase 2: greedy adjacent-pair LD pruning per combination.
+
+        Every pair any walk can compare is fetched before the walks in
+        rounds of ``_LD_PAD_PER_SNP * max(|L'|, |L'_plain|)`` padded
+        pairs: one round on the flat path, none on the sharded path,
+        whose moments tasks already installed the union.  A union too
+        big for that (or for a shard bucket) takes overflow rounds,
+        counted in ``ld_overflow_rounds``.  The walks then only read
+        the moment table.
+        """
         self._require_leader()
-        if "prime" not in self._retained:
-            raise PhaseOrderError("MAF phase has not run")
-        config = self._config()
-        l_prime = self._retained["prime"]
-        cutoff = config["ld_cutoff"]
-        survivor_sets: List[set] = []
-        with ColumnReader(self, ref_store) as ref_reader:
-            # One prefetch round covering the union of every walk's
-            # sliding window: all combinations traverse the intersected
-            # list and the plain track the un-intersected one, so after
-            # this round the per-walk window fetches below are fully
-            # cached and issue no further rounds (only rare lookahead
-            # misses still go to the members).
-            union_window = dict.fromkeys(self._window_pairs(l_prime))
-            if len(self._combos) > 1:
-                union_window.update(
-                    dict.fromkeys(
-                        self._window_pairs(self._plain_retained["prime"])
-                    )
+        walks = self._ld_walks()
+        l_prime = walks[0]
+        cutoff = self._config()["ld_cutoff"]
+        missing = np.asarray(
+            self._moments.missing(self._ld_pair_union(walks)), dtype=np.int64
+        ).reshape(-1, 2)
+        if len(missing):
+            bound = _LD_PAD_PER_SNP * max(len(walk) for walk in walks)
+            with ColumnReader(self, ref_store) as ref_reader:
+                rounds = self._fetch_moments(
+                    missing, bound, store, ref_reader, ocall
                 )
-            self._fetch_moments(
-                list(union_window), store, ref_reader, ocall
+            planned = 1 if self._shard_plan is None else 0
+            self._ld_overflow_rounds += rounds - planned
+        survivor_sets = [
+            set(self._ld_greedy(combo_index, l_prime, cutoff))
+            for combo_index in range(len(self._combos))
+        ]
+        if len(self._combos) > 1:
+            # Plain track: the f0 walk over the un-intersected list.
+            self._plain_retained["double_prime"] = self._ld_greedy(
+                0, walks[1], cutoff
             )
-            for combo_index in range(len(self._combos)):
-                survivor_sets.append(
-                    set(
-                        self._ld_greedy(
-                            combo_index,
-                            l_prime,
-                            cutoff,
-                            store,
-                            ref_reader,
-                            ocall,
-                        )
-                    )
-                )
-            if len(self._combos) > 1:
-                # Plain track: the f0 walk over the un-intersected list.
-                self._plain_retained["double_prime"] = self._ld_greedy(
-                    0,
-                    self._plain_retained["prime"],
-                    cutoff,
-                    store,
-                    ref_reader,
-                    ocall,
-                )
         retained = sorted(set.intersection(*survivor_sets))
         self._retained["double_prime"] = retained
         if len(self._combos) == 1:
             self._plain_retained["double_prime"] = list(retained)
         return list(retained)
 
-    def _window_pairs(self, l_prime: List[int]) -> List[Tuple[int, int]]:
-        """The sliding-window pair list a greedy walk over ``l_prime`` uses.
-
-        Built by the vectorised :func:`repro.stats.ld.window_pairs`
-        kernel and memoized per SNP list: every combination walks the
-        same intersected list, so without the memo the same pair list
-        was rebuilt ``C(G, G-f)`` times per study.
-        """
-        key = np.asarray(l_prime, dtype=np.int64).tobytes()
-        pairs = self._window_pairs_cache.get(key)
-        if pairs is None:
-            if len(l_prime) < 2:
-                pairs = []
-            else:
-                arr = ld.window_pairs(l_prime, _LD_WINDOW)
-                pairs = list(zip(arr[:, 0].tolist(), arr[:, 1].tolist()))
-            self._window_pairs_cache[key] = pairs
-        return pairs
-
     def _ld_greedy(
-        self,
-        combo_index: int,
-        l_prime: List[int],
-        cutoff: float,
-        store: SealedColumnStore,
-        ref_reader: ColumnReader,
-        ocall: OcallExchange,
+        self, combo_index: int, l_prime: List[int], cutoff: float
     ) -> List[int]:
         """Run the shared LD walk for one combination.
 
         The decision logic is :func:`repro.core.pipeline.ld_prune` —
         identical to the baselines'; only the moment *source* differs:
-        here, missing pair moments are fetched from member enclaves in
-        speculative batches (same decisions, fewer rounds than strictly
-        per-pair exchange).
+        here it reads the leader's moment table, which ``lead_run_ld``
+        filled with every pair the walk can reach.
         """
-        if not l_prime:
-            return []
-        if len(l_prime) == 1:
-            return list(l_prime)
         # The chi-squared ranking that breaks dependent pairs is the
         # *study's* ranking (paper: getMostRanked(l, l+1, s)) — utility
         # ordering is a property of the study, computed over the full
         # federation, while the privacy decisions below remain
         # per-combination.
         ranking = self._ranking("f0")
-        # Prefetch a sliding window of pairs in a single round: the walk
-        # only ever compares SNPs whose positions are close unless one
-        # candidate outlives a whole LD block, so a small window covers
-        # almost every comparison and stragglers fall back to on-demand
-        # lookahead rounds below.  (When ``lead_run_ld`` already issued
-        # its union prefetch this finds everything cached and costs no
-        # round at all.)
-        self._fetch_moments(self._window_pairs(l_prime), store, ref_reader, ocall)
 
-        def get_moments(left: int, right: int, position: int) -> ld.PairMoments:
-            pair = (left, right)
-            if pair not in self._moments:
-                lookahead = [
-                    (left, l_prime[j])
-                    for j in range(
-                        position, min(position + _LD_LOOKAHEAD, len(l_prime))
-                    )
-                ]
-                self._fetch_moments(lookahead, store, ref_reader, ocall)
-            return self._combo_moments(combo_index, pair)
+        def get_moments(left: int, right: int, _position: int) -> ld.PairMoments:
+            return self._combo_moments(combo_index, (left, right))
 
         return pipeline.ld_prune(l_prime, ranking, get_moments, cutoff)
 
@@ -1909,17 +1919,21 @@ class GenDPREnclave(Enclave):
 
     @ecall
     def lead_exchange_stats(self) -> Dict[str, int]:
-        """Moment-exchange cache counters (for the observability bridge).
+        """LD exchange counters (for the observability bridge).
 
         ``ld_pairs_requested`` counts pooled pair-moment lookups across
-        every combination's walk; ``ld_pairs_fetched`` counts pairs that
-        actually crossed the wire.  Their gap is work the moment caches
-        (and the union window prefetch) absorbed.
+        every combination's walk, which is also the number of rounds the
+        paper's per-pair exchange would take.  ``ld_pairs_fetched``
+        counts the padded pair rows that crossed the wire, in flat LD
+        rounds and moments shard tasks alike, and
+        ``ld_overflow_rounds`` the padded rounds a reachable pair union
+        too big for its public bound took beyond the planned exchange.
         """
         self._require_leader()
         return {
             "ld_pairs_requested": self._ld_pairs_requested,
             "ld_pairs_fetched": self._ld_pairs_fetched,
+            "ld_overflow_rounds": self._ld_overflow_rounds,
         }
 
     @ecall

@@ -401,10 +401,10 @@ class GenDPRProtocol:
     def _phase_shard_moments(self, clock: PhaseClock) -> None:
         """Aggregate the LD pair-moment union per shard through the tree.
 
-        After this step every pooled pair moment the LD walks need is
-        already installed per combination, so ``lead_run_ld``'s own
-        prefetch finds everything cached and the walks issue no flat
-        member rounds (outside rare lookahead misses).
+        Each moments task carries the padded bucket of pairs whose right
+        SNP the shard owns.  After this step every pair any walk can
+        reach is installed per combination, so ``lead_run_ld`` sends no
+        flat member round unless a bucket overflowed its public bound.
         """
         with clock.task(LD_ANALYSIS, self._accounting):
             done = self._completed_shards("moments")

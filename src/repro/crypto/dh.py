@@ -7,8 +7,10 @@ fixed safe-prime group, with the shared secret fed through HKDF to derive
 the channel keys.
 
 The group is a 768-bit safe prime generated deterministically for this
-project (seed 2022) and re-verified prime at import time with
-Miller-Rabin, so a transcription error cannot silently weaken the group.
+project (seed 2022).  The test suite re-verifies p and (p - 1) / 2 with
+Miller-Rabin (``_is_probable_prime``), so a transcription error cannot
+silently weaken the group; the constant cannot change at run time, so
+the check is not repeated on every import.
 768 bits keeps handshakes fast in pure Python; the simulation's security
 argument rests on the TEE trust model, not on this group's concrete
 hardness.
@@ -56,16 +58,6 @@ def _is_probable_prime(n: int, rounds: int = 30) -> bool:
         else:
             return False
     return True
-
-
-def _check_group() -> None:
-    if not _is_probable_prime(SAFE_PRIME):
-        raise CryptoError("DH modulus failed primality check")
-    if not _is_probable_prime((SAFE_PRIME - 1) // 2):
-        raise CryptoError("DH modulus is not a safe prime")
-
-
-_check_group()
 
 
 @dataclass(frozen=True)

@@ -100,20 +100,17 @@ def record_rounds(registry: MetricsRegistry, accounting) -> None:
 
 
 def record_cache_stats(registry: MetricsRegistry, stats: Dict[str, int]) -> None:
-    """Feed the leader enclave's LD moment-cache counters into gauges.
+    """Feed the leader enclave's LD exchange counters into metrics.
 
-    The hit rate is the fraction of pair-moment lookups served from the
-    cache instead of a member exchange round; the batched window
-    prefetch drives this up by fetching each pair at most once.
+    ``enclave.ld_pairs_requested`` counts the walks' pair-moment
+    lookups; ``enclave.ld_pairs_fetched`` counts padded pair rows, so
+    it covers every pair the walks can reach plus the padding to the
+    public bound; ``enclave.ld_overflow_rounds`` counts the padded
+    rounds a union too big for that bound took beyond the planned
+    exchange.
     """
-    requested = int(stats.get("ld_pairs_requested", 0))
-    fetched = int(stats.get("ld_pairs_fetched", 0))
-    registry.counter("enclave.ld_pairs_requested").inc(requested)
-    registry.counter("enclave.ld_pairs_fetched").inc(fetched)
-    # Speculative prefetch can fetch pairs the walk never looks up, so
-    # clamp at zero rather than report a negative rate.
-    hit_rate = max(0.0, 1.0 - fetched / requested) if requested else 0.0
-    registry.gauge("enclave.moment_cache_hit_rate").set(hit_rate)
+    for name in ("ld_pairs_requested", "ld_pairs_fetched", "ld_overflow_rounds"):
+        registry.counter(f"enclave.{name}").inc(int(stats.get(name, 0)))
 
 
 def record_shard(

@@ -17,7 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -101,9 +111,11 @@ def r_squared(moments: PairMoments) -> float:
 def chi2_sf_1df(statistic: float) -> float:
     """Upper tail of the 1-dof chi-squared distribution.
 
-    Closed form ``erfc(sqrt(x/2))`` — identical to scipy's value (the
-    tests check agreement) but ~100x faster for the scalar calls the LD
-    walk makes per pair.
+    Closed form ``erfc(sqrt(x/2))``, ~100x faster than scipy for the
+    scalar calls the LD walk makes per pair.  It is *not* bit-identical
+    to ``scipy.stats.chi2.sf(x, df=1)``: the two differ in the last
+    bits (up to 159 ULPs on chi-squared ranking statistics), and the
+    tests check agreement to a relative 1e-9.
     """
     if statistic <= 0:
         return 1.0
@@ -137,13 +149,13 @@ def is_dependent(moments: PairMoments, ld_cutoff: float) -> bool:
 
 
 def window_pairs(snps: Sequence[int], window: int) -> np.ndarray:
-    """Sliding-window pair list of a greedy LD walk, vectorised.
+    """Sliding-window pair list over ``snps``, vectorised.
 
     Returns the ``(P, 2)`` int64 array of pairs ``(snps[i], snps[j])``
-    with ``i < j <= min(i + window, len(snps) - 1)`` — the pairs the
-    walk over ``snps`` can compare without a candidate outliving a
-    whole block.  Replaces the quadratic-constant Python comprehension
-    the enclave used per combination walk.
+    with ``i < j <= min(i + window, len(snps) - 1)``.  The LD exchange
+    fetches :func:`reachable_pairs` instead, which covers every pair
+    the walk can compare; ``repro.bench.shard`` still times this kernel
+    against its scalar loop.
     """
     if window < 1:
         raise GenomicsError("window must be at least 1")
@@ -171,6 +183,57 @@ def window_pairs_scalar(snps: Sequence[int], window: int) -> np.ndarray:
         (items[i], items[j])
         for i in range(len(items) - 1)
         for j in range(i + 1, min(i + 1 + window, len(items)))
+    ]
+    return np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+
+
+def reachable_pairs(snps: Sequence[int], ranking: np.ndarray) -> np.ndarray:
+    """Every ``(candidate, next)`` pair the greedy LD walk can compare.
+
+    :func:`repro.core.pipeline.ld_prune` walks ``snps`` comparing a
+    running candidate with ``snps[p]``.  Whatever the dependence tests
+    decide, that candidate is some ``snps[i]``, ``i < p``, whose ranking
+    p-value is <= that of every ``snps[j]``, ``i < j < p``: it must have
+    won each comparison since it was taken up, and ties go to the lower
+    index as in :func:`repro.stats.chisq.most_ranked`.  Those positions
+    form a monotonic stack that pops only on a strictly greater p-value;
+    emitting ``(s, snps[p])`` for every ``s`` on the stack before
+    pushing ``snps[p]`` covers every path the walk can take.
+
+    Args:
+        snps: the SNP list the walk traverses, in walk order.
+        ranking: ranking p-values indexed by SNP.
+
+    Returns the ``(P, 2)`` int64 pairs, ordered by ``p`` and then by
+    candidate position.
+    """
+    items = np.asarray(list(snps), dtype=np.int64)
+    if items.size < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    values = np.asarray(ranking)[items].tolist()
+    stack = [0]
+    lefts: List[int] = []
+    depths: List[int] = []
+    for position in range(1, items.size):
+        lefts.extend(stack)
+        depths.append(len(stack))
+        value = values[position]
+        while stack and values[stack[-1]] > value:
+            stack.pop()
+        stack.append(position)
+    rights = np.repeat(np.arange(1, items.size, dtype=np.int64), depths)
+    return np.stack((items[np.asarray(lefts, dtype=np.int64)], items[rights]), axis=1)
+
+
+def reachable_pairs_scalar(snps: Sequence[int], ranking: np.ndarray) -> np.ndarray:
+    """Brute-force reference of :func:`reachable_pairs` (test oracle)."""
+    items = [int(s) for s in snps]
+    values = [float(ranking[s]) for s in items]
+    pairs = [
+        (items[i], items[p])
+        for p in range(1, len(items))
+        for i in range(p)
+        if all(values[i] <= values[j] for j in range(i + 1, p))
     ]
     return np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
 
@@ -273,6 +336,17 @@ def full_moments(binary: np.ndarray) -> np.ndarray:
     return np.concatenate((binary, binary[..., :2]), axis=-1)
 
 
+#: SNP pairs as a sequence of ``(left, right)`` tuples or a ``(P, 2)``
+#: integer array.
+PairList = Union[Sequence[Tuple[int, int]], np.ndarray]
+
+
+def _pair_keys(pairs: PairList) -> List[Tuple[int, int]]:
+    """``pairs`` as hashable ``(left, right)`` tuples."""
+    rows = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).tolist()
+    return [(left, right) for left, right in rows]
+
+
 class MomentTable:
     """Pooled pair moments in dense blocks, one row per pair id.
 
@@ -292,19 +366,18 @@ class MomentTable:
     def __contains__(self, pair: Tuple[int, int]) -> bool:
         return pair in self._ids
 
-    def missing(self, pairs: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    def missing(self, pairs: PairList) -> List[Tuple[int, int]]:
         """The distinct ``pairs`` without an id, in first-seen order."""
-        return [pair for pair in dict.fromkeys(pairs) if pair not in self._ids]
+        return [
+            pair for pair in dict.fromkeys(_pair_keys(pairs))
+            if pair not in self._ids
+        ]
 
-    def put(
-        self,
-        pairs: Sequence[Tuple[int, int]],
-        case: np.ndarray,
-        reference: np.ndarray,
-    ) -> None:
+    def put(self, pairs: PairList, case: np.ndarray, reference: np.ndarray) -> None:
         """Install ``C x len(pairs) x 5`` case and ``len(pairs) x 5``
         reference rows; a pair that already has an id is overwritten."""
-        ids = [self._ids.setdefault(pair, len(self._ids)) for pair in pairs]
+        keys = _pair_keys(pairs)
+        ids = [self._ids.setdefault(pair, len(self._ids)) for pair in keys]
         grow = len(self._ids) - self.pairs.shape[0]
         if grow:
             self.pairs = np.concatenate(
@@ -318,7 +391,7 @@ class MomentTable:
                 (self.reference, np.zeros((grow, 5), dtype=np.int64))
             )
         index = np.asarray(ids, dtype=np.int64)
-        self.pairs[index] = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        self.pairs[index] = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
         self.case[:, index] = case
         self.reference[index] = reference
 
@@ -327,11 +400,12 @@ class MomentTable:
         row = self._ids[pair]
         return (self.case[pool, row] + self.reference[row]).tolist()
 
-    def case_rows(self, pairs: Sequence[Tuple[int, int]]) -> Optional[np.ndarray]:
+    def case_rows(self, pairs: PairList) -> Optional[np.ndarray]:
         """``C x len(pairs) x 5`` case rows, or ``None`` if one is uncached."""
-        if any(pair not in self._ids for pair in pairs):
+        keys = _pair_keys(pairs)
+        if any(pair not in self._ids for pair in keys):
             return None
-        return self.case[:, [self._ids[pair] for pair in pairs]]
+        return self.case[:, [self._ids[pair] for pair in keys]]
 
     def state(self) -> Dict[str, np.ndarray]:
         """The table as three arrays (its checkpoint form)."""

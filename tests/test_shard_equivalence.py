@@ -18,6 +18,7 @@ from repro.config import (
     ShardingConfig,
     StudyConfig,
 )
+from repro.core import enclave_logic
 from repro.core.protocol import run_study
 from repro.errors import ProtocolError
 
@@ -130,6 +131,32 @@ class TestShardAccounting:
 
 def small_cohort_snps(results):
     return results[1].l_des
+
+
+class TestLdOverflow:
+    """A reachable pair union beyond its padded bound costs counted
+    extra rounds, never different decisions."""
+
+    @pytest.mark.parametrize("shards", (1, 2))
+    def test_overflow_rounds_keep_decisions(self, small_cohort, monkeypatch, shards):
+        config = StudyConfig(
+            snp_count=small_cohort.num_snps,
+            collusion=CollusionPolicy((1,)),
+            seed=5,
+            study_id="ld-overflow",
+            sharding=ShardingConfig.over(shards),
+            observability=ObservabilityConfig(enabled=True),
+        )
+        padded = run_study(small_cohort, config, MEMBERS)
+        monkeypatch.setattr(enclave_logic, "_LD_PAD_PER_SNP", 1)
+        squeezed = run_study(small_cohort, config, MEMBERS)
+        assert _decisions(squeezed) == _decisions(padded)
+        counters = squeezed.observability.metrics["counters"]
+        overflow = counters["enclave.ld_overflow_rounds"]
+        planned = 1 if shards == 1 else 0
+        assert overflow > 0
+        assert squeezed.ocall_rounds["ld"] == planned + overflow
+        assert padded.ocall_rounds.get("ld", 0) == planned
 
 
 class TestShardGuards:

@@ -1,11 +1,11 @@
 """Batched numpy kernels vs their scalar loop references.
 
 The shard pipeline leans on vectorised statistics (window pair lists,
-pair-moment slabs, membership pooling, chi-squared rankings, LR
-matrices).  Each kernel ships a ``*_scalar`` loop oracle that evaluates
-the same primitives in the same operation order, so equality here is
-*exact* — element-wise identical over randomised genotype matrices, not
-approximate.
+reachable LD pair sets, pair-moment slabs, membership pooling,
+chi-squared rankings, LR matrices).  Each kernel ships a ``*_scalar``
+loop oracle that evaluates the same primitives in the same operation
+order, so equality here is *exact* — element-wise identical over
+randomised genotype matrices, not approximate.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import pipeline
 from repro.stats import chisq, ld, lr_test
 
 SEEDS = (0, 1, 7)
@@ -55,6 +56,76 @@ class TestWindowPairs:
 
         with pytest.raises(GenomicsError):
             ld.window_pairs([1, 2, 3], 0)
+
+
+#: Few distinct ranking p-values, so draws are full of ties.
+_TIED_PVALUES = st.sampled_from([0.0, 1e-300, 0.01, 0.01 + 1e-17, 0.5, 1.0])
+
+
+@st.composite
+def _walks(draw, max_snps=40, universe=120):
+    """A sorted SNP list plus a tie-heavy ranking over the universe."""
+    snps = sorted(
+        draw(
+            st.lists(
+                st.integers(0, universe - 1), max_size=max_snps, unique=True
+            )
+        )
+    )
+    ranking = np.asarray(
+        draw(st.lists(_TIED_PVALUES, min_size=universe, max_size=universe)),
+        dtype=np.float64,
+    )
+    return snps, ranking
+
+
+#: Pooled moments the walk reads as a dependent / an independent pair.
+_DEPENDENT = ld.PairMoments(50, 50, 50, 50, 50, count=100)
+_INDEPENDENT = ld.PairMoments(2, 2, 1, 2, 2, count=4)
+
+
+class TestReachablePairs:
+    @given(walk=_walks())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_under_ties(self, walk):
+        snps, ranking = walk
+        fast = ld.reachable_pairs(snps, ranking)
+        slow = ld.reachable_pairs_scalar(snps, ranking)
+        assert fast.dtype == np.int64
+        assert np.array_equal(fast, slow)
+
+    @given(
+        walk=_walks(),
+        seed=st.integers(0, 2**32 - 1),
+        dependence=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_walk_only_asks_for_reachable_pairs(self, walk, seed, dependence):
+        """Whatever the dependence tests decide, every pair the greedy
+        walk asks its moment source for was in the prefetched set."""
+        snps, ranking = walk
+        reachable = {tuple(p) for p in ld.reachable_pairs(snps, ranking).tolist()}
+        rng = np.random.default_rng(seed)
+        asked = []
+
+        def get_moments(left, right, _position):
+            asked.append((left, right))
+            return _DEPENDENT if rng.random() < dependence else _INDEPENDENT
+
+        pipeline.ld_prune(snps, ranking, get_moments, 1e-5)
+        assert len(asked) == max(len(snps) - 1, 0)
+        assert set(asked) <= reachable
+
+    def test_stack_pops_only_on_a_strictly_greater_pvalue(self):
+        ranking = np.array([0.5, 0.1, 0.3, 0.3, 0.05, 0.9])
+        assert ld.reachable_pairs(range(6), ranking).tolist() == [
+            [0, 1], [1, 2], [1, 3], [2, 3], [1, 4], [2, 4], [3, 4], [4, 5],
+        ]
+
+    @pytest.mark.parametrize("snps", [[], [7]])
+    def test_degenerate_walks(self, snps):
+        assert ld.reachable_pairs(snps, np.zeros(10)).shape == (0, 2)
+        assert ld.reachable_pairs_scalar(snps, np.zeros(10)).shape == (0, 2)
 
 
 class TestPairMomentsKernel:
