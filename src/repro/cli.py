@@ -34,7 +34,7 @@ import json
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -52,8 +52,6 @@ from .config import (
 from .core.protocol import run_study
 from .errors import ReproError, ServiceOverloadedError
 from .genomics import Cohort, GenotypeMatrix, SnpPanel, SyntheticSpec, generate_cohort
-from .fuzz.cli import configure_parser as configure_fuzz_parser
-from .lint.cli import configure_parser as configure_lint_parser
 from .obs import RunReport, write_chrome_trace, write_jsonl
 from .serve import FederationService, ServiceConfig
 
@@ -352,13 +350,51 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Subcommand parser whose options may be attached on first parse.
+
+    ``repro lint`` and ``repro fuzz`` take their options from their own
+    packages; importing those only when the subcommand is parsed keeps
+    the analyser and the fuzzer out of every other command's start-up.
+    """
+
+    def __init__(
+        self,
+        *args,
+        configure: Optional[Callable[[argparse.ArgumentParser], None]] = None,
+        **kwargs,
+    ):
+        super().__init__(*args, **kwargs)
+        self._configure = configure
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._configure is not None:
+            configure, self._configure = self._configure, None
+            configure(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _configure_lint(parser: argparse.ArgumentParser) -> None:
+    from .lint.cli import configure_parser
+
+    configure_parser(parser)
+
+
+def _configure_fuzz(parser: argparse.ArgumentParser) -> None:
+    from .fuzz.cli import configure_parser
+
+    configure_parser(parser)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="GenDPR: distributed assessment of privacy-preserving "
         "GWAS releases (Middleware '22 reproduction)",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
+    )
 
     generate = subparsers.add_parser(
         "generate", help="generate a synthetic cohort bundle"
@@ -529,19 +565,19 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("--cohort", required=True)
     info.set_defaults(func=_cmd_info)
 
-    lint = subparsers.add_parser(
+    subparsers.add_parser(
         "lint",
         help="run the domain-aware static analyser "
         "(docs/STATIC_ANALYSIS.md)",
+        configure=_configure_lint,
     )
-    configure_lint_parser(lint)
 
-    fuzz = subparsers.add_parser(
+    subparsers.add_parser(
         "fuzz",
         help="coverage-guided chaos fuzzing over fault plans "
         "(docs/FUZZING.md)",
+        configure=_configure_fuzz,
     )
-    configure_fuzz_parser(fuzz)
 
     return parser
 

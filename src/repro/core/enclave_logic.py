@@ -818,9 +818,9 @@ class GenDPREnclave(Enclave):
             shard = self._shard_plan_required().ranges[spec["shard"]]
             return (num_combos, shard.width)
         # Moments travel as (mu_l, mu_r, mu_lr): binary genotypes make
-        # the squared sums duplicate the linear ones, so the wire and
-        # the combine accumulators carry 3 of the 5 columns and the
-        # leader reconstructs the full five-tuple at fold time.
+        # the squared sums duplicate the linear ones, so the wire, the
+        # combine accumulators and the leader's moment table carry 3 of
+        # the 5 columns; only a walk's PairMoments has all five.
         return (num_combos, len(spec["pairs"]), 3)
 
     def _install_shard_task(self, spec: Dict[str, Any]) -> None:
@@ -1168,9 +1168,7 @@ class GenDPREnclave(Enclave):
             # every installed pair has its complete table row.
             with ColumnReader(self, ref_store) as ref_reader:
                 reference = self._reference_moments(ref_reader, pairs)
-            self._moments.put(
-                pairs, ld.full_moments(stats[:, : len(pairs)]), reference
-            )
+            self._moments.put(pairs, stats[:, : len(pairs)], reference)
             self._ld_pairs_fetched += len(spec["pairs"])
             self._shard_moments_done.add(int(spec["shard"]))
         self._drop_shard_task(task_id)
@@ -1214,7 +1212,7 @@ class GenDPREnclave(Enclave):
         else:
             pairs = self._real_shard_pairs(spec)
             folded = self._moments.case_rows(pairs)
-            stats = ld.full_moments(stats[:, : len(pairs)])
+            stats = stats[:, : len(pairs)]
         if (
             folded is None
             or sizes != counts.tolist()
@@ -1496,11 +1494,12 @@ class GenDPREnclave(Enclave):
     def _reference_moments(
         self, ref_reader: ColumnReader, pairs: np.ndarray
     ) -> np.ndarray:
-        """Five correlation sums per pair row over the reference population."""
+        """``(mu_l, mu_r, mu_lr)`` per pair row over the reference population."""
         pair_array = np.asarray(pairs, dtype=np.int64)
         unique_columns, inverse = np.unique(pair_array, return_inverse=True)
         gathered = ref_reader.columns(unique_columns.tolist())
-        return ld.pair_moments_kernel(gathered, inverse.reshape(pair_array.shape))
+        moments = ld.pair_moments_kernel(gathered, inverse.reshape(pair_array.shape))
+        return moments[:, :3]
 
     def _ld_walks(self) -> List[List[int]]:
         """The SNP lists the LD walks traverse: the intersected ``L'``
@@ -1581,7 +1580,7 @@ class GenDPREnclave(Enclave):
             )[:, :3]
             self._moments.put(
                 real,
-                ld.full_moments(ld.pool_moments(membership, per_party)),
+                ld.pool_moments(membership, per_party),
                 self._reference_moments(ref_reader, real),
             )
             self._ld_pairs_fetched += bound
@@ -1596,8 +1595,14 @@ class GenDPREnclave(Enclave):
             raise ProtocolError("LD walk reached a pair outside the fetched set")
         self._ld_pairs_requested += 1
         combo_id = self._combos[combo_index][0]
+        mu_l, mu_r, mu_lr = self._moments.pooled(combo_index, pair)
+        # Binary genotypes: the squared sums repeat the linear ones.
         return ld.PairMoments(
-            *self._moments.pooled(combo_index, pair),
+            mu_l,
+            mu_r,
+            mu_lr,
+            mu_l,
+            mu_r,
             count=self._combo_sizes[combo_id] + self._reference_rows,
         )
 

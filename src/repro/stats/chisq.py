@@ -14,14 +14,16 @@ Two variants are provided:
   the released statistics, validated against scipy in the tests.
 
 Both are vectorised over SNPs; all counts are minor-allele counts.
+Their p-values come from :func:`repro.stats.ld.chi2_sf_1df`, the one
+1-dof chi-squared tail of the program, which the LD tests use too.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..errors import GenomicsError
+from .ld import chi2_sf_1df
 
 
 def _validate_counts(
@@ -88,8 +90,14 @@ def pearson_chi_square(
 
 
 def chi_square_pvalues(statistic: np.ndarray) -> np.ndarray:
-    """Upper-tail p-values of chi-squared statistics with 1 dof."""
-    return scipy_stats.chi2.sf(np.asarray(statistic, dtype=np.float64), df=1)
+    """Upper-tail p-values of chi-squared statistics with 1 dof.
+
+    Element-wise :func:`~repro.stats.ld.chi2_sf_1df`; non-positive
+    statistics (a noisy release can produce them) map to 1.
+    """
+    values = np.asarray(statistic, dtype=np.float64)
+    tails = [chi2_sf_1df(value) for value in values.ravel().tolist()]
+    return np.asarray(tails, dtype=np.float64).reshape(values.shape)
 
 
 def rank_pvalues(
@@ -134,7 +142,7 @@ def rank_pvalues_scalar(
             if denominator > 0
             else 0.0
         )
-        out[index] = scipy_stats.chi2.sf(np.float64(statistic), df=1)
+        out[index] = chi2_sf_1df(statistic)
     return out
 
 

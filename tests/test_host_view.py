@@ -1,4 +1,4 @@
-"""What the host sees of the LD exchange, as a checked property.
+"""What the host sees of a study, as a checked property.
 
 The untrusted hosts route every frame: they cannot read one, but they
 see its sender, receiver, tag and size.  The LD phase fetches every
@@ -9,9 +9,11 @@ the released retained sets alone.
 A neighbouring cohort is the same cohort with one case individual
 replaced by the control individual of the same index.  Whenever a
 neighbour's released sets equal the original's, the host must see the
-same multiset of ``(tag, sender, receiver, wire_bytes)`` over the LD,
-shard-task and shard frames.  Multisets, because parallel fan-out may
-reorder sends.
+same multiset of ``(tag, sender, receiver, wire_bytes)`` over every
+``net.send`` frame of the study, whatever its tag.  Multisets, because
+parallel fan-out may reorder sends.  The configurations cover flat and
+sharded studies, f = 0 and f = 1, sequential and parallel fan-out, and
+the hardened deployment (sharded, parallel, supervised, integrity on).
 """
 
 from __future__ import annotations
@@ -24,7 +26,10 @@ import pytest
 
 from repro.config import (
     CollusionPolicy,
+    ExecutionConfig,
+    IntegrityConfig,
     ObservabilityConfig,
+    ResilienceConfig,
     ShardingConfig,
     StudyConfig,
 )
@@ -39,13 +44,23 @@ COHORT_SEEDS = (1, 2)
 #: Neighbours per cohort: the first rows whose swap keeps the pooled
 #: pipeline's release (the distributed premise is asserted separately).
 NEIGHBOURS = 2
-HOST_VIEW_TAGS = ("ld", "shard-task", "shard")
 CONFIGS = {
     "flat-f0": {},
     "flat-f1": {"collusion": CollusionPolicy((1,))},
+    "flat-f1-parallel": {
+        "collusion": CollusionPolicy((1,)),
+        "execution": ExecutionConfig.parallel(max_workers=2),
+    },
     "sharded-f1": {
         "collusion": CollusionPolicy((1,)),
         "sharding": ShardingConfig.over(2),
+    },
+    "hardened-f1": {
+        "collusion": CollusionPolicy((1,)),
+        "sharding": ShardingConfig.over(2),
+        "execution": ExecutionConfig.parallel(max_workers=2),
+        "resilience": ResilienceConfig.supervised(),
+        "integrity": IntegrityConfig.on(),
     },
 }
 THRESHOLDS = StudyConfig(snp_count=SNPS).thresholds
@@ -78,7 +93,6 @@ def _host_view(result) -> Counter:
         )
         for span in result.observability.spans
         if span.name == "net.send"
-        and span.attributes["tag"] in HOST_VIEW_TAGS
     )
 
 
@@ -159,13 +173,15 @@ def _premise_pairs(pairs):
     ]
 
 
-def test_equal_release_means_equal_ld_host_view(runs):
+def test_equal_release_means_equal_host_view(runs):
     name, pairs = runs
     equal = _premise_pairs(pairs)
     assert equal, f"{name}: no neighbour kept the released sets"
     for (_, original, _), (_, neighbour, _) in equal:
         view = _host_view(original)
-        assert view, f"{name}: no LD frames traced"
+        assert {"ld", "shard-task"} & {tag for tag, *_ in view}, (
+            f"{name}: no LD frames traced"
+        )
         assert _host_view(neighbour) == view
 
 
@@ -181,7 +197,7 @@ def test_padding_is_load_bearing(runs):
 
 def test_ld_takes_one_flat_round_or_none_when_sharded(runs):
     name, pairs = runs
-    expected = 0 if name.startswith("sharded") else 1
+    expected = 0 if "sharding" in CONFIGS[name] else 1
     for pair in pairs:
         for _cohort, result, _local_outcome in pair:
             assert result.ocall_rounds.get("ld", 0) == expected

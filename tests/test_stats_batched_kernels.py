@@ -282,8 +282,8 @@ class TestPoolMoments:
 class TestMomentTable:
     def _table(self):
         table = ld.MomentTable(2)
-        case = np.arange(2 * 3 * 5).reshape(2, 3, 5)
-        reference = 100 + np.arange(3 * 5).reshape(3, 5)
+        case = np.arange(2 * 3 * 3).reshape(2, 3, 3)
+        reference = 100 + np.arange(3 * 3).reshape(3, 3)
         table.put([(1, 2), (1, 3), (2, 3)], case, reference)
         return table, case, reference
 
@@ -301,11 +301,11 @@ class TestMomentTable:
         table, case, reference = self._table()
         table.put(
             [(2, 3), (4, 5)],
-            np.full((2, 2, 5), 7, dtype=np.int64),
-            np.zeros((2, 5), dtype=np.int64),
+            np.full((2, 2, 3), 7, dtype=np.int64),
+            np.zeros((2, 3), dtype=np.int64),
         )
         assert len(table.pairs) == 4
-        assert table.pooled(0, (2, 3)) == [7] * 5
+        assert table.pooled(0, (2, 3)) == [7] * 3
         assert table.pooled(1, (1, 2)) == (case[1, 0] + reference[0]).tolist()
         assert np.array_equal(table.pairs[3], [4, 5])
 
@@ -324,5 +324,5 @@ class TestMomentTable:
             np.array_equal(restored.state()[k], table.state()[k]) for k in state
         )
         assert restored.missing([(1, 2), (2, 3), (5, 6)]) == [(5, 6)]
-        restored.put([(1, 2)], np.zeros((2, 1, 5)), np.zeros((1, 5)))
-        assert restored.pooled(0, (1, 2)) == [0] * 5
+        restored.put([(1, 2)], np.zeros((2, 1, 3)), np.zeros((1, 3)))
+        assert restored.pooled(0, (1, 2)) == [0] * 3
