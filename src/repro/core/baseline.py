@@ -87,10 +87,11 @@ class CentralizedEnclave(Enclave):
     @ecall
     def load_local_dataset(self, signed_dataset) -> SealedColumnStore:
         config = self._config()
-        if isinstance(signed_dataset, SignedMatrix):
-            matrix = signed_dataset.open_verified(self._data_signer)
-        else:
-            _panel, matrix = signed_dataset.open_verified(self._data_signer)
+        if not isinstance(signed_dataset, SignedMatrix):
+            raise ProtocolError(
+                f"unsupported dataset container {type(signed_dataset).__name__}"
+            )
+        matrix = signed_dataset.open_verified(self._data_signer)
         if matrix.num_snps != config["snp_count"]:
             raise ProtocolError("dataset does not match the study panel")
         return seal_matrix(self, matrix.array(), label="case")

@@ -58,7 +58,7 @@ from ..errors import (
     TEEError,
     TranscriptDivergenceError,
 )
-from ..genomics.vcf import SignedMatrix, SignedVcf
+from ..genomics.vcf import SignedMatrix
 from ..net import serialization
 from ..stats import chisq, ld, lr_test, maf
 from ..tee.channel import ChannelEndpoint
@@ -423,22 +423,17 @@ class GenDPREnclave(Enclave):
     def load_local_dataset(self, signed_dataset) -> SealedColumnStore:
         """Verify a signed local dataset and seal it for streaming access.
 
-        Accepts either a :class:`SignedVcf` (text interchange) or a
-        :class:`SignedMatrix` (binary fast path); both carry the
-        authenticity signature the trusted module checks per the threat
-        model.  The sealed store is returned to the host (sealed data
-        lives on untrusted storage); the enclave retains only the
-        dimensions.
+        The dataset must be a :class:`SignedMatrix`, whose authenticity
+        signature the trusted module checks per the threat model.  The
+        sealed store is returned to the host (sealed data lives on
+        untrusted storage); the enclave retains only the dimensions.
         """
         config = self._config()
-        if isinstance(signed_dataset, SignedMatrix):
-            matrix = signed_dataset.open_verified(self._data_signer)
-        elif isinstance(signed_dataset, SignedVcf):
-            _panel, matrix = signed_dataset.open_verified(self._data_signer)
-        else:
+        if not isinstance(signed_dataset, SignedMatrix):
             raise ProtocolError(
                 f"unsupported dataset container {type(signed_dataset).__name__}"
             )
+        matrix = signed_dataset.open_verified(self._data_signer)
         if matrix.num_snps != config["snp_count"]:
             raise ProtocolError(
                 f"dataset covers {matrix.num_snps} SNPs, study expects "

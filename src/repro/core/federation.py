@@ -539,8 +539,7 @@ def bind_study(
             else None
         )
 
-    # Members verify and seal their signed local datasets (binary fast
-    # path; the text SignedVcf container is accepted equivalently).
+    # Members verify and seal their signed local datasets.
     data_signer = MacSigner(substrate.data_auth_key, purpose="vcf-dataset")
     for dataset in datasets:
         signed = SignedMatrix.create(dataset.case, data_signer)

@@ -3,10 +3,9 @@
 Everything the TEE and protocol layers need, implemented from scratch on
 the standard library (plus numpy for bulk XOR):
 
-* :mod:`~repro.crypto.aes` — reference AES block cipher (FIPS-197).
-* :mod:`~repro.crypto.modes` — CTR/CBC modes and PKCS#7 padding.
 * :mod:`~repro.crypto.stream` — fast SHA-256 counter-mode stream cipher.
-* :mod:`~repro.crypto.authenticated` — encrypt-then-MAC AEAD frames.
+* :mod:`~repro.crypto.authenticated` — the encrypt-then-MAC AEAD that
+  protects every channel frame and sealed blob.
 * :mod:`~repro.crypto.kdf` — HKDF and labelled subkey derivation.
 * :mod:`~repro.crypto.signing` — HMAC signing for datasets and quotes.
 * :mod:`~repro.crypto.dh` — Diffie-Hellman key agreement for attested
@@ -14,38 +13,22 @@ the standard library (plus numpy for bulk XOR):
 * :mod:`~repro.crypto.rng` — deterministic DRBG for reproducible runs.
 """
 
-from .aes import AES, BLOCK_SIZE
-from .authenticated import (
-    AEAD_OVERHEAD,
-    AesCtrHmacAead,
-    StreamAead,
-    default_aead,
-)
+from .authenticated import AEAD_OVERHEAD, StreamAead
 from .dh import KeyPair, derive_channel_key, generate_keypair, shared_secret
 from .kdf import derive_subkey, hkdf
-from .modes import CBC, CTR, ciphertext_expansion, pkcs7_pad, pkcs7_unpad
 from .rng import DeterministicRng, system_random_bytes
 from .signing import SIGNATURE_SIZE, KeyedVerifier, MacSigner, digest
 from .stream import NONCE_SIZE, StreamCipher
 
 __all__ = [
-    "AES",
-    "BLOCK_SIZE",
     "AEAD_OVERHEAD",
-    "AesCtrHmacAead",
     "StreamAead",
-    "default_aead",
     "KeyPair",
     "derive_channel_key",
     "generate_keypair",
     "shared_secret",
     "derive_subkey",
     "hkdf",
-    "CBC",
-    "CTR",
-    "ciphertext_expansion",
-    "pkcs7_pad",
-    "pkcs7_unpad",
     "DeterministicRng",
     "system_random_bytes",
     "SIGNATURE_SIZE",

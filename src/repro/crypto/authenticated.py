@@ -1,20 +1,15 @@
 """Authenticated encryption (encrypt-then-MAC AEAD).
 
-Two interchangeable AEAD schemes share one wire format::
+:class:`StreamAead` protects every channel frame and sealed blob: the
+SHA-256-keyed counter-mode stream of :mod:`repro.crypto.stream` with an
+HMAC-SHA256 tag (see that module for why it stands in for the paper's
+hardware AES).  Its wire format is::
 
     nonce (16) || ciphertext || tag (32)
 
-* :class:`AesCtrHmacAead` — pure-Python AES-CTR + HMAC-SHA256; the
-  byte-exact analogue of the paper's AES-256 encryption, used for small
-  control messages, key wrapping and wherever tests need the reference
-  cipher.
-* :class:`StreamAead` — SHA-256 counter-mode stream + HMAC-SHA256; the
-  default for bulk intermediate data (see :mod:`repro.crypto.stream` for
-  the substitution rationale).
-
-Both derive independent encryption and MAC subkeys from the caller's key
-via HKDF, authenticate the nonce and optional associated data, and verify
-tags in constant time.
+Independent encryption and MAC subkeys derive from the caller's key via
+HKDF; the tag authenticates the nonce and optional associated data and
+is verified in constant time.
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ import os
 
 from ..errors import AuthenticationError, DecryptionError
 from .kdf import derive_subkey
-from .modes import CTR
 from .stream import NONCE_SIZE, StreamCipher
 
 TAG_SIZE = 32
@@ -33,24 +27,14 @@ TAG_SIZE = 32
 AEAD_OVERHEAD = NONCE_SIZE + TAG_SIZE
 
 
-class _EncryptThenMac:
-    """Shared encrypt-then-MAC logic over an abstract keystream processor."""
-
-    #: Name mixed into the MAC so frames from different schemes never verify.
-    scheme_label = "aead"
+class StreamAead:
+    """Bulk AEAD: SHA-256 counter-mode stream with HMAC-SHA256."""
 
     def __init__(self, key: bytes):
         if len(key) < 16:
             raise ValueError("AEAD key must be at least 16 bytes")
-        self._mac_key = derive_subkey(key, f"{self.scheme_label}/mac")
-        enc_key = derive_subkey(key, f"{self.scheme_label}/enc")
-        self._processor = self._make_processor(enc_key)
-
-    def _make_processor(self, enc_key: bytes):
-        raise NotImplementedError
-
-    def _process(self, nonce: bytes, data: bytes) -> bytes:
-        raise NotImplementedError
+        self._mac_key = derive_subkey(key, "stream-hmac/mac")
+        self._cipher = StreamCipher(derive_subkey(key, "stream-hmac/enc"))
 
     def _tag(self, nonce: bytes, ciphertext: bytes, associated_data: bytes) -> bytes:
         mac = hmac.new(self._mac_key, digestmod=hashlib.sha256)
@@ -76,7 +60,7 @@ class _EncryptThenMac:
             nonce = os.urandom(NONCE_SIZE)
         if len(nonce) != NONCE_SIZE:
             raise ValueError(f"nonce must be {NONCE_SIZE} bytes")
-        ciphertext = self._process(nonce, plaintext)
+        ciphertext = self._cipher.process(nonce, plaintext)
         return nonce + ciphertext + self._tag(nonce, ciphertext, associated_data)
 
     def decrypt(self, frame: bytes, associated_data: bytes = b"") -> bytes:
@@ -89,33 +73,4 @@ class _EncryptThenMac:
         expected = self._tag(nonce, ciphertext, associated_data)
         if not hmac.compare_digest(tag, expected):
             raise AuthenticationError("AEAD tag verification failed")
-        return self._process(nonce, ciphertext)
-
-
-class AesCtrHmacAead(_EncryptThenMac):
-    """Reference AEAD: pure-Python AES-256-CTR with HMAC-SHA256."""
-
-    scheme_label = "aes-ctr-hmac"
-
-    def _make_processor(self, enc_key: bytes) -> CTR:
-        return CTR(enc_key)
-
-    def _process(self, nonce: bytes, data: bytes) -> bytes:
-        return self._processor.process(nonce, data)
-
-
-class StreamAead(_EncryptThenMac):
-    """Bulk AEAD: SHA-256 counter-mode stream with HMAC-SHA256."""
-
-    scheme_label = "stream-hmac"
-
-    def _make_processor(self, enc_key: bytes) -> StreamCipher:
-        return StreamCipher(enc_key)
-
-    def _process(self, nonce: bytes, data: bytes) -> bytes:
-        return self._processor.process(nonce, data)
-
-
-def default_aead(key: bytes) -> StreamAead:
-    """The AEAD the protocol stack uses for enclave-to-enclave traffic."""
-    return StreamAead(key)
+        return self._cipher.process(nonce, ciphertext)

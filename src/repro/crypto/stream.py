@@ -14,9 +14,9 @@ whose hot path runs in C:
 Philox is a counter-mode PRF family from the random123 suite — the
 right *shape* for a stream cipher — but it is not a vetted cipher and
 this construction must not be used outside simulation.  The substitution
-is recorded in DESIGN.md; the pure AES-CTR path in
-:mod:`repro.crypto.modes` remains the byte-faithful reference and backs
-the small control messages and key wrapping.
+is recorded in DESIGN.md.  :class:`~repro.crypto.authenticated.StreamAead`
+wraps this cipher for all exchanged and sealed data, as the paper's
+enclaves use AES-256 for all of theirs.
 """
 
 from __future__ import annotations

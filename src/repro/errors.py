@@ -26,10 +26,6 @@ class CryptoError(ReproError):
     """Base class for cryptographic failures."""
 
 
-class InvalidKeyError(CryptoError):
-    """A key has the wrong length or format for the requested primitive."""
-
-
 class AuthenticationError(CryptoError):
     """Ciphertext or signature failed integrity verification.
 

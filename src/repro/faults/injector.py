@@ -89,9 +89,6 @@ class FaultInjector:
         """Bind to the network whose deliveries this injector mediates."""
         self._network = network
 
-    def set_leader(self, leader_id: str) -> None:
-        self._leader_id = leader_id
-
     # -- bookkeeping -----------------------------------------------------------
 
     def _record(self, action: str, counter: str, **attributes: object) -> None:
@@ -415,24 +412,6 @@ class FaultInjector:
     def counters(self) -> Dict[str, int]:
         with self._lock:
             return dict(self._counters)
-
-    @property
-    def injected_faults(self) -> int:
-        """Total faults injected so far (partitions count per blocked op)."""
-        with self._lock:
-            return (
-                self._counters["drops"]
-                + self._counters["duplicates"]
-                + self._counters["delays"]
-                + self._counters["corruptions"]
-                + self._counters["partition_blocks"]
-                + self._counters["crashes"]
-                + self._counters["replays"]
-                + self._counters["withholds"]
-                + self._counters["equivocations"]
-                + self._counters["shard_equivocations"]
-                + self._counters["checkpoint_tampers"]
-            )
 
     def report(self) -> Dict[str, object]:
         """Machine-readable fault-injection report (CI artifact payload)."""

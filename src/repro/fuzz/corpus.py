@@ -70,9 +70,6 @@ class CorpusPool:
     def behaviour_keys(self) -> FrozenSet[str]:
         return frozenset(self._keys_seen)
 
-    def behaviour_for(self, digest: str) -> Optional[Behaviour]:
-        return self._behaviours.get(digest)
-
     def cover_of(self, unit: str) -> Optional[PlanGenome]:
         digest = self._covers.get(unit)
         return self._genomes.get(digest) if digest is not None else None

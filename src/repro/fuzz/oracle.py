@@ -166,10 +166,6 @@ class DecisionOracle:
             list(self.member_ids), self.study_seed, self.study_id
         )
 
-    def follower_ids(self) -> Tuple[str, ...]:
-        leader = self.leader_id
-        return tuple(m for m in self.member_ids if m != leader)
-
     # -- references -----------------------------------------------------------
 
     def reference(self, mode: str, f: int):

@@ -8,25 +8,20 @@
   generation (the dbGaP-data substitution; see DESIGN.md).
 * :mod:`~repro.genomics.partition` — equal horizontal splits across
   federation members.
-* :mod:`~repro.genomics.vcf` — simplified signed VCF files.
+* :mod:`~repro.genomics.vcf` — signed genotype datasets, the form in
+  which the trusted module accepts a member's genomes.
 """
 
 from .genotype import GenotypeMatrix
 from .partition import LocalDataset, partition_cohort
-from .ped import cohort_from_ped, read_map, read_ped, write_map, write_ped
 from .population import Cohort
 from .snp import SnpInfo, SnpPanel
 from .synthetic import SyntheticSpec, SyntheticTruth, generate_cohort
-from .vcf import SignedMatrix, SignedVcf, read_vcf, write_vcf
+from .vcf import SignedMatrix
 
 __all__ = [
     "GenotypeMatrix",
     "LocalDataset",
-    "cohort_from_ped",
-    "read_map",
-    "read_ped",
-    "write_map",
-    "write_ped",
     "partition_cohort",
     "Cohort",
     "SnpInfo",
@@ -35,7 +30,4 @@ __all__ = [
     "SyntheticTruth",
     "generate_cohort",
     "SignedMatrix",
-    "SignedVcf",
-    "read_vcf",
-    "write_vcf",
 ]

@@ -3,9 +3,9 @@
 The paper encodes each genome over ``L`` SNPs as a binary vector: 0 when
 only the major allele is present, 1 when the minor allele is (Table 1).
 :class:`GenotypeMatrix` stores a population as an ``N x L`` ``uint8``
-numpy array under that encoding and offers the aggregate views the
-protocol phases consume — allele counts, pairwise moments — plus the
-row/column slicing used to partition cohorts across federation members.
+numpy array under that encoding and offers the allele counts the
+protocol phases consume, plus the row/column slicing used to partition
+cohorts across federation members.
 """
 
 from __future__ import annotations
@@ -87,45 +87,6 @@ class GenotypeMatrix:
         """
         data = self._data if snp_indices is None else self._data[:, snp_indices]
         return data.sum(axis=0, dtype=np.int64)
-
-    def pair_moments(self, left: int, right: int) -> Tuple[int, int, int, int, int]:
-        """The five correlation sums GenDPR's Phase 2 exchanges for a pair.
-
-        Returns ``(mu_l, mu_r, mu_lr, mu_l2, mu_r2)`` — for binary data
-        ``mu_l2 == mu_l``, but all five are produced (and transmitted)
-        exactly as in the paper's protocol.
-        """
-        col_left = self._data[:, left].astype(np.int64)
-        col_right = self._data[:, right].astype(np.int64)
-        return (
-            int(col_left.sum()),
-            int(col_right.sum()),
-            int((col_left * col_right).sum()),
-            int((col_left * col_left).sum()),
-            int((col_right * col_right).sum()),
-        )
-
-    def pair_moments_batch(
-        self, pairs: Sequence[Tuple[int, int]]
-    ) -> np.ndarray:
-        """Vectorised :meth:`pair_moments` for many pairs.
-
-        Returns an ``len(pairs) x 5`` int64 array, one row per pair in
-        input order.
-        """
-        if not pairs:
-            return np.zeros((0, 5), dtype=np.int64)
-        lefts = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-        rights = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
-        left_cols = self._data[:, lefts].astype(np.int64)
-        right_cols = self._data[:, rights].astype(np.int64)
-        out = np.empty((len(pairs), 5), dtype=np.int64)
-        out[:, 0] = left_cols.sum(axis=0)
-        out[:, 1] = right_cols.sum(axis=0)
-        out[:, 2] = (left_cols * right_cols).sum(axis=0)
-        out[:, 3] = out[:, 0]  # x^2 == x for binary genotypes
-        out[:, 4] = out[:, 1]
-        return out
 
     # -- Slicing ----------------------------------------------------------------
 

@@ -1,129 +1,29 @@
-"""Simplified VCF-style dataset files with authenticity signatures.
+"""Signed genotype datasets.
 
 GenDPR's threat model assumes "the trusted part of GenDPR is able to
 detect whether a federation member has tampered with the genome data
 ... (e.g., by checking the authenticity of signed VCF files)".  This
-module provides that substrate: a small text format holding a SNP panel
-and a binary genotype matrix, plus an HMAC signature envelope the
-trusted module verifies before using any local dataset.
-
-The format is deliberately a subset of VCF — tab-separated, one variant
-per line, genotypes encoded 0/1 per sample under the paper's binary
-minor-allele encoding — enough to round-trip the simulation's data while
-staying human-inspectable.
+module provides that substrate: :class:`SignedMatrix`, a binary genotype
+matrix under an HMAC signature envelope that the trusted module verifies
+before it uses any local dataset.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from typing import Tuple
-
-import numpy as np
 
 from ..crypto.signing import MacSigner
-from ..errors import AuthenticationError, DataIntegrityError, GenomicsError
+from ..errors import AuthenticationError, DataIntegrityError
 from .genotype import GenotypeMatrix
-from .snp import SnpInfo, SnpPanel
-
-_HEADER = "##fileformat=REPRO-VCFv1"
-_COLUMNS = ["#CHROM", "POS", "ID", "REF", "ALT"]
-
-
-def write_vcf(panel: SnpPanel, genotypes: GenotypeMatrix) -> str:
-    """Render a panel + genotype matrix as VCF text."""
-    if genotypes.num_snps != len(panel):
-        raise GenomicsError(
-            f"matrix covers {genotypes.num_snps} SNPs, panel has {len(panel)}"
-        )
-    out = io.StringIO()
-    out.write(_HEADER + "\n")
-    out.write(f"##individuals={genotypes.num_individuals}\n")
-    samples = [f"s{i}" for i in range(genotypes.num_individuals)]
-    out.write("\t".join(_COLUMNS + samples) + "\n")
-    data = genotypes.array()
-    for index, snp in enumerate(panel):
-        row = data[:, index]
-        fields = [
-            str(snp.chromosome),
-            str(snp.position),
-            snp.snp_id,
-            snp.major_allele,
-            snp.minor_allele,
-        ]
-        out.write("\t".join(fields))
-        out.write("\t")
-        out.write("\t".join("1" if value else "0" for value in row))
-        out.write("\n")
-    return out.getvalue()
-
-
-def read_vcf(text: str) -> Tuple[SnpPanel, GenotypeMatrix]:
-    """Parse VCF text back into a panel and genotype matrix."""
-    lines = text.splitlines()
-    if not lines or lines[0] != _HEADER:
-        raise GenomicsError("missing REPRO-VCF header")
-    body_start = 0
-    num_individuals = None
-    for i, line in enumerate(lines):
-        if line.startswith("##individuals="):
-            num_individuals = int(line.split("=", 1)[1])
-        if line.startswith("#CHROM"):
-            body_start = i + 1
-            break
-    else:
-        raise GenomicsError("missing column header line")
-    if num_individuals is None:
-        raise GenomicsError("missing ##individuals header")
-
-    snps = []
-    columns = []
-    for line_number, line in enumerate(lines[body_start:], start=body_start + 1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != len(_COLUMNS) + num_individuals:
-            raise GenomicsError(
-                f"line {line_number}: expected "
-                f"{len(_COLUMNS) + num_individuals} fields, got {len(fields)}"
-            )
-        chromosome, position, snp_id, ref, alt = fields[: len(_COLUMNS)]
-        try:
-            snps.append(
-                SnpInfo(
-                    snp_id=snp_id,
-                    chromosome=int(chromosome),
-                    position=int(position),
-                    major_allele=ref,
-                    minor_allele=alt,
-                )
-            )
-        except ValueError as exc:
-            raise GenomicsError(f"line {line_number}: bad variant field") from exc
-        try:
-            genotype_row = np.array(
-                [int(v) for v in fields[len(_COLUMNS) :]], dtype=np.uint8
-            )
-        except ValueError as exc:
-            raise GenomicsError(f"line {line_number}: bad genotype value") from exc
-        columns.append(genotype_row)
-
-    if not columns:
-        raise GenomicsError("VCF contains no variants")
-    matrix = GenotypeMatrix(np.stack(columns, axis=1))
-    return SnpPanel(snps), matrix
 
 
 @dataclass(frozen=True)
 class SignedMatrix:
-    """A signed binary genotype dataset (the VCF fast path).
+    """A signed binary genotype dataset (the paper's signed VCF file).
 
-    Text VCFs are convenient for interchange but cost seconds per
-    million genotypes to render; federation provisioning at paper scale
-    (10^8 genotypes) uses this binary container instead: the signature
-    covers a header binding the dimensions plus the raw row-major
-    matrix bytes, giving the same tamper-detection guarantee as
-    :class:`SignedVcf`.
+    The signature covers a header binding the dimensions plus the raw
+    row-major matrix bytes, so any change to the genotypes or to the
+    claimed shape is detected.
     """
 
     num_individuals: int
@@ -173,33 +73,3 @@ class SignedMatrix:
                 "matrix signature verification failed: dataset was modified"
             ) from exc
         return GenotypeMatrix.from_bytes(self.raw, self.num_snps)
-
-
-@dataclass(frozen=True)
-class SignedVcf:
-    """A VCF document with an authenticity signature."""
-
-    text: str
-    signature: bytes
-
-    @classmethod
-    def create(
-        cls, panel: SnpPanel, genotypes: GenotypeMatrix, signer: MacSigner
-    ) -> "SignedVcf":
-        text = write_vcf(panel, genotypes)
-        return cls(text=text, signature=signer.sign(text.encode("utf-8")))
-
-    def open_verified(self, signer: MacSigner) -> Tuple[SnpPanel, GenotypeMatrix]:
-        """Verify the signature, then parse.
-
-        Raises :class:`DataIntegrityError` if the document was tampered
-        with — the check GenDPR's trusted module performs before using a
-        member's local data.
-        """
-        try:
-            signer.verify(self.text.encode("utf-8"), self.signature)
-        except AuthenticationError as exc:
-            raise DataIntegrityError(
-                "VCF signature verification failed: dataset was modified"
-            ) from exc
-        return read_vcf(self.text)

@@ -178,28 +178,6 @@ def innermost_extent(
     return best
 
 
-@dataclass(frozen=True)
-class ClassContext:
-    """Innermost enclosing class for canonical lock naming."""
-
-    name: str
-
-
-def enclosing_class_map(tree: ast.AST) -> Dict[int, str]:
-    """Map every AST node id to its innermost enclosing class name."""
-    mapping: Dict[int, str] = {}
-
-    def visit(node: ast.AST, current: Optional[str]) -> None:
-        if isinstance(node, ast.ClassDef):
-            current = node.name
-        for child in ast.iter_child_nodes(node):
-            mapping[id(child)] = current or ""
-            visit(child, current)
-
-    visit(tree, None)
-    return mapping
-
-
 def iter_function_defs(
     tree: ast.AST,
 ) -> "List[Tuple[ast.AST, Optional[str]]]":

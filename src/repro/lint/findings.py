@@ -9,7 +9,7 @@ them — no stage mutates a finding after creation.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict
 
@@ -53,9 +53,6 @@ class Finding:
 
     def baseline_key(self) -> "tuple[str, str, str]":
         return (self.rule, self.module, self.line_content)
-
-    def with_path(self, path: str) -> "Finding":
-        return replace(self, path=path)
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready representation (schema in docs/STATIC_ANALYSIS.md)."""

@@ -196,11 +196,6 @@ class CallGraph:
     def add_edge(self, caller: str, callee: str) -> None:
         self.edges.setdefault(caller, set()).add(callee)
 
-    def callers_of(self, callee: str) -> List[str]:
-        return sorted(
-            caller for caller, callees in self.edges.items() if callee in callees
-        )
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready summary (the CI call-graph artifact)."""
         return {

@@ -72,12 +72,10 @@ DEFAULT_SANCTIONED: Tuple[str, ...] = (
     "repro.tee.storage.seal_matrix",
     "repro.core.enclave_logic.GenDPREnclave._protect",
     "repro.crypto.authenticated.StreamAead.encrypt",
-    "repro.crypto.authenticated.AesCtrHmacAead.encrypt",
-    "repro.crypto.authenticated._EncryptThenMac.encrypt",
     # An HMAC-SHA256 tag is publishable by design (that is its whole
     # job: it travels over the untrusted wire next to the message), so
     # the key taint of the signer does not survive into the tag — same
-    # status as the AEAD encrypt outputs above, which embed their MACs.
+    # status as the AEAD encrypt output above, which embeds its MAC.
     "repro.crypto.signing.MacSigner.sign",
     "repro.crypto.signing.MacSigner._mac",
 )
@@ -214,9 +212,6 @@ class TaintModel:
 
     def is_clean_call(self, names: Iterable[str]) -> bool:
         return self._any(names, self.clean_calls)
-
-    def is_dispatcher(self, names: Iterable[str]) -> bool:
-        return self._any(names, self.dispatchers)
 
     def is_declared_ecall_result(self, qualname: str) -> bool:
         return self._any((qualname,), self.ecall_results)

@@ -39,7 +39,7 @@ from .metrics import (
     MetricsRegistry,
     exponential_buckets,
 )
-from .report import RunReport, config_fingerprint, phase_durations
+from .report import RunReport, config_fingerprint
 from .span import NULL_SINK, NullCollector, Span, SpanCollector
 from .tracer import NULL_SPAN, TRACER, Tracer, traced
 
@@ -59,7 +59,6 @@ __all__ = [
     "Tracer",
     "config_fingerprint",
     "exponential_buckets",
-    "phase_durations",
     "read_jsonl",
     "render_span_tree",
     "span_from_dict",

@@ -15,7 +15,7 @@ import ``obs``, never the reverse at module scope).
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 from .metrics import MetricsRegistry, exponential_buckets
 from .span import Span
@@ -282,14 +282,3 @@ def record_service(registry: MetricsRegistry, stats: Dict[str, object]) -> None:
             registry.gauge(f"serve.{metric_slug(name)}").set(float(value))
         else:
             registry.counter(f"serve.{metric_slug(name)}").inc(int(value))
-
-
-def phase_labels(spans: Iterable[Span]) -> List[str]:
-    """Distinct phase labels in span order (debug/report helper)."""
-    seen: List[str] = []
-    for span in spans:
-        if span.name == "phase":
-            label = str(span.attributes.get("label", "?"))
-            if label not in seen:
-                seen.append(label)
-    return seen

@@ -215,13 +215,3 @@ class RunReport:
                 lines.append("")
                 lines.append(tree)
         return "\n".join(lines)
-
-
-def phase_durations(spans: List[Span]) -> Dict[str, float]:
-    """Phase label → corrected seconds, for a bare span list (no report)."""
-    totals: Dict[str, float] = {}
-    for span in spans:
-        if span.name == "phase":
-            label = str(span.attributes.get("label", "?"))
-            totals[label] = totals.get(label, 0.0) + span.duration_seconds
-    return totals

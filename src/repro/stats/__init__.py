@@ -1,6 +1,5 @@
 """GWAS statistics substrate.
 
-* :mod:`~repro.stats.contingency` — singlewise/pairwise tables.
 * :mod:`~repro.stats.maf` — global minor-allele frequencies (Phase 1).
 * :mod:`~repro.stats.chisq` — association tests and SNP ranking.
 * :mod:`~repro.stats.ld` — r-squared linkage from pooled moments (Phase 2).
@@ -15,12 +14,6 @@ from .chisq import (
     paper_chi_square,
     pearson_chi_square,
     rank_pvalues,
-)
-from .contingency import (
-    PairwiseTable,
-    SinglewiseTable,
-    pairwise_table,
-    singlewise_table,
 )
 from .ld import PairMoments, is_dependent, ld_pvalue, r_squared, r_squared_direct
 from .lr_test import (
@@ -54,10 +47,6 @@ __all__ = [
     "paper_chi_square",
     "pearson_chi_square",
     "rank_pvalues",
-    "PairwiseTable",
-    "SinglewiseTable",
-    "pairwise_table",
-    "singlewise_table",
     "PairMoments",
     "is_dependent",
     "ld_pvalue",

@@ -20,7 +20,6 @@ Subclasses implement trusted logic as ordinary methods decorated with
 
 from __future__ import annotations
 
-import functools
 from typing import Any, Callable, Dict, Optional, Set, Type, TypeVar
 
 from ..crypto.kdf import derive_subkey
@@ -214,23 +213,3 @@ def guarded(
 ) -> GuardedEnclaveProxy:
     """Convenience constructor for :class:`GuardedEnclaveProxy`."""
     return GuardedEnclaveProxy(enclave, ecall_interceptor)
-
-
-def ecall_method(label: str) -> Callable[[F], F]:
-    """Decorator stacking :func:`ecall` with a fixed metering label.
-
-    Useful for enclaves whose ECALLs always belong to one protocol phase.
-    """
-
-    def decorate(func: F) -> F:
-        marked = ecall(func)
-
-        @functools.wraps(marked)
-        def wrapper(self: Enclave, *args: Any, **kwargs: Any) -> Any:
-            with self.meter.measure(label):
-                return marked(self, *args, **kwargs)
-
-        setattr(wrapper, _ECALL_ATTR, getattr(marked, _ECALL_ATTR))
-        return wrapper  # type: ignore[return-value]
-
-    return decorate

@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro import StudyConfig, partition_cohort
-from repro.core.baseline import CentralizedVerifier, run_centralized_study
+from repro.core.baseline import (
+    CentralizedEnclave,
+    CentralizedVerifier,
+    run_centralized_study,
+)
 from repro.core.naive import naive_traffic_bytes, run_naive_study
 from repro.core.pipeline import run_local_pipeline
 from repro.errors import ProtocolError
@@ -67,6 +71,17 @@ class TestCentralized:
 
         with pytest.raises(PhaseOrderError):
             verifier.center.ecall("run_phase", "maf")  # genomes not pooled
+
+    def test_unknown_dataset_container_rejected(self):
+        enclave = CentralizedEnclave(
+            platform_key=bytes(range(32)), enclave_id="gdo-0", data_auth_key=bytes(32)
+        )
+        enclave.ecall(
+            "configure",
+            dict(snp_count=10, maf_cutoff=0.05, ld_cutoff=1e-5, alpha=0.1, beta=0.9),
+        )
+        with pytest.raises(ProtocolError):
+            enclave.ecall("load_local_dataset", object())
 
 
 class TestNaive:

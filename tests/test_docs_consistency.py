@@ -2,12 +2,38 @@
 
 from __future__ import annotations
 
+import importlib
 import pathlib
 import re
 
 import pytest
 
 ROOT = pathlib.Path(__file__).parent.parent
+#: A backticked dotted name such as `repro.stats.ld.MomentTable`.
+_CODE_REFERENCE = re.compile(r"`(repro(?:\.\w+)+)`")
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``repro.x.y`` names a module or an attribute chain in one.
+
+    The longest importable prefix is imported and the rest is looked up
+    with ``getattr``, so modules, classes, functions and methods count.
+    """
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        name = ".".join(parts[:split])
+        try:
+            target = importlib.import_module(name)
+        except ModuleNotFoundError as exc:
+            if exc.name != name:
+                raise
+            continue
+        for attr in parts[split:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
 
 
 @pytest.fixture(scope="module")
@@ -22,8 +48,8 @@ def repo_files():
 class TestDocsExist:
     @pytest.mark.parametrize(
         "name",
-        ["README.md", "DESIGN.md", "EXPERIMENTS.md", "CHANGELOG.md",
-         "LICENSE", "docs/PROTOCOL.md"],
+        ["README.md", "DESIGN.md", "EXPERIMENTS.md", "LICENSE",
+         "docs/PROTOCOL.md"],
     )
     def test_required_documents_present(self, name):
         assert (ROOT / name).is_file()
@@ -57,6 +83,20 @@ class TestCrossReferences:
             assert (
                 path.with_suffix(".py").is_file() or (path / "__init__.py").is_file()
             ), module
+
+    def test_docs_code_references_resolve(self):
+        docs = [
+            ROOT / "DESIGN.md",
+            ROOT / "EXPERIMENTS.md",
+            *sorted((ROOT / "docs").glob("*.md")),
+        ]
+        unresolved = [
+            f"{doc.relative_to(ROOT)}: {name}"
+            for doc in docs
+            for name in sorted(set(_CODE_REFERENCE.findall(doc.read_text())))
+            if not _resolves(name)
+        ]
+        assert not unresolved
 
     def test_protocol_doc_names_real_components(self):
         text = (ROOT / "docs" / "PROTOCOL.md").read_text()

@@ -111,23 +111,6 @@ class TestGenotypeMatrix:
         assert np.array_equal(matrix.allele_counts([3, 5]), expected[[3, 5]])
         assert matrix.allele_counts().dtype == np.int64
 
-    def test_pair_moments_match_direct(self):
-        matrix = _matrix()
-        data = matrix.array().astype(np.int64)
-        mu_l, mu_r, mu_lr, mu_l2, mu_r2 = matrix.pair_moments(2, 9)
-        assert mu_l == data[:, 2].sum()
-        assert mu_r == data[:, 9].sum()
-        assert mu_lr == (data[:, 2] * data[:, 9]).sum()
-        assert mu_l2 == mu_l and mu_r2 == mu_r  # binary data
-
-    def test_pair_moments_batch(self):
-        matrix = _matrix()
-        pairs = [(0, 1), (3, 7), (11, 2)]
-        batch = matrix.pair_moments_batch(pairs)
-        for row, (left, right) in enumerate(pairs):
-            assert tuple(batch[row]) == matrix.pair_moments(left, right)
-        assert matrix.pair_moments_batch([]).shape == (0, 5)
-
     def test_select_and_split(self):
         matrix = _matrix()
         selected = matrix.select_snps([1, 4])

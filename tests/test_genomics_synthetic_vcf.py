@@ -1,4 +1,4 @@
-"""Synthetic cohort generation and signed VCF / matrix containers."""
+"""Synthetic cohort generation and the signed matrix container."""
 
 from __future__ import annotations
 
@@ -7,15 +7,7 @@ import pytest
 
 from repro.crypto.signing import MacSigner
 from repro.errors import DataIntegrityError, GenomicsError
-from repro.genomics import (
-    SignedMatrix,
-    SignedVcf,
-    SyntheticSpec,
-    generate_cohort,
-    read_vcf,
-    write_vcf,
-)
-from repro.genomics.snp import SnpPanel
+from repro.genomics import SignedMatrix, SyntheticSpec, generate_cohort
 from repro.stats import r_squared_direct
 
 _KEY = bytes(range(32))
@@ -128,71 +120,6 @@ class TestSyntheticGeneration:
             self._spec(num_sites=301)
         with pytest.raises(GenomicsError):
             self._spec(site_effect_sd=-1)
-
-
-class TestVcf:
-    def _small(self):
-        spec = SyntheticSpec(num_snps=15, num_case=8, num_control=8, seed=2)
-        cohort, _ = generate_cohort(spec)
-        return cohort.panel, cohort.case
-
-    def test_roundtrip(self):
-        panel, matrix = self._small()
-        text = write_vcf(panel, matrix)
-        panel2, matrix2 = read_vcf(text)
-        assert panel2.ids() == panel.ids()
-        assert matrix2 == matrix
-
-    def test_rejects_mismatched_matrix(self):
-        panel, matrix = self._small()
-        with pytest.raises(GenomicsError):
-            write_vcf(SnpPanel.synthetic(3), matrix)
-
-    def test_read_rejects_garbage(self):
-        with pytest.raises(GenomicsError):
-            read_vcf("not a vcf")
-        panel, matrix = self._small()
-        text = write_vcf(panel, matrix)
-        with pytest.raises(GenomicsError):
-            read_vcf(text.replace("##individuals=8\n", ""))
-
-    def test_read_rejects_bad_genotype(self):
-        panel, matrix = self._small()
-        lines = write_vcf(panel, matrix).splitlines()
-        lines[3] = lines[3].replace("\t1", "\tx", 1)
-        with pytest.raises(GenomicsError):
-            read_vcf("\n".join(lines))
-
-    def test_read_rejects_wrong_field_count(self):
-        panel, matrix = self._small()
-        lines = write_vcf(panel, matrix).splitlines()
-        lines[3] += "\t0"
-        with pytest.raises(GenomicsError):
-            read_vcf("\n".join(lines))
-
-    def test_signed_vcf_roundtrip(self):
-        panel, matrix = self._small()
-        signer = MacSigner(_KEY, purpose="vcf-dataset")
-        signed = SignedVcf.create(panel, matrix, signer)
-        panel2, matrix2 = signed.open_verified(signer)
-        assert matrix2 == matrix
-
-    def test_signed_vcf_tamper_detected(self):
-        panel, matrix = self._small()
-        signer = MacSigner(_KEY, purpose="vcf-dataset")
-        signed = SignedVcf.create(panel, matrix, signer)
-        tampered = SignedVcf(
-            text=signed.text.replace("\t0", "\t1", 1),
-            signature=signed.signature,
-        )
-        with pytest.raises(DataIntegrityError):
-            tampered.open_verified(signer)
-
-    def test_signed_vcf_wrong_key_detected(self):
-        panel, matrix = self._small()
-        signed = SignedVcf.create(panel, matrix, MacSigner(_KEY, purpose="vcf-dataset"))
-        with pytest.raises(DataIntegrityError):
-            signed.open_verified(MacSigner(bytes(32), purpose="vcf-dataset"))
 
 
 class TestSignedMatrix:

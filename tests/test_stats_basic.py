@@ -1,4 +1,4 @@
-"""Contingency tables, MAF and chi-squared statistics."""
+"""MAF and chi-squared statistics."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from scipy import stats as scipy_stats
 from repro.errors import GenomicsError
 from repro.genomics import GenotypeMatrix
 from repro.stats import (
-    PairwiseTable,
-    SinglewiseTable,
     aggregate_counts,
     allele_frequencies,
     chi_square_pvalues,
@@ -20,10 +18,8 @@ from repro.stats import (
     maf_filter,
     most_ranked,
     paper_chi_square,
-    pairwise_table,
     pearson_chi_square,
     rank_pvalues,
-    singlewise_table,
 )
 
 
@@ -32,34 +28,6 @@ def _pops(seed=4, rows=50, cols=10):
     case = GenotypeMatrix((rng.random((rows, cols)) < 0.3).astype(np.uint8))
     control = GenotypeMatrix((rng.random((rows, cols)) < 0.25).astype(np.uint8))
     return case, control
-
-
-class TestContingency:
-    def test_singlewise_margins(self):
-        case, control = _pops()
-        table = singlewise_table(case, control, 3)
-        assert table.n_case == 50 and table.n_control == 50
-        assert table.n_total == 100
-        assert table.n_minor + table.n_major == 100
-        assert table.case_minor == int(case.allele_counts([3])[0])
-        assert table.as_array().sum() == 100
-
-    def test_singlewise_rejects_negative(self):
-        with pytest.raises(GenomicsError):
-            SinglewiseTable(-1, 0, 0, 0)
-
-    def test_pairwise_margins(self):
-        case, _ = _pops()
-        table = pairwise_table(case, 1, 2)
-        assert table.total == 50
-        assert table.c0_ + table.c1_ == 50
-        assert table.c_0 + table.c_1 == 50
-        data = case.array()
-        assert table.c11 == int((data[:, 1] & data[:, 2]).sum())
-
-    def test_pairwise_rejects_negative(self):
-        with pytest.raises(GenomicsError):
-            PairwiseTable(-1, 0, 0, 0)
 
 
 class TestMaf:
