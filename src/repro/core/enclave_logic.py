@@ -131,9 +131,6 @@ class GenDPREnclave(Enclave):
         self._channels: Dict[str, ChannelEndpoint] = {}
         self._study: Optional[Dict[str, Any]] = None
         self._combos: List[Tuple[str, int, Tuple[str, ...]]] = []
-        # Local dataset metadata (the sealed chunks live with the host).
-        self._local_rows = 0
-        self._local_cols = 0
         # Leader aggregation state.
         self._member_counts: Dict[str, np.ndarray] = {}
         self._member_sizes: Dict[str, int] = {}
@@ -354,8 +351,6 @@ class GenDPREnclave(Enclave):
         not).  Safe under failover too: a replacement enclave is
         configured fresh and then ``restore_state`` overwrites exactly
         the checkpointed fields."""
-        self._local_rows = 0
-        self._local_cols = 0
         self._member_counts = {}
         self._member_sizes = {}
         self._reference_counts = None
@@ -426,7 +421,7 @@ class GenDPREnclave(Enclave):
         The dataset must be a :class:`SignedMatrix`, whose authenticity
         signature the trusted module checks per the threat model.  The
         sealed store is returned to the host (sealed data lives on
-        untrusted storage); the enclave retains only the dimensions.
+        untrusted storage).
         """
         config = self._config()
         if not isinstance(signed_dataset, SignedMatrix):
@@ -439,8 +434,6 @@ class GenDPREnclave(Enclave):
                 f"dataset covers {matrix.num_snps} SNPs, study expects "
                 f"{config['snp_count']}"
             )
-        self._local_rows = matrix.num_individuals
-        self._local_cols = matrix.num_snps
         return seal_matrix(self, matrix.array(), label="case")
 
     @ecall
@@ -469,26 +462,26 @@ class GenDPREnclave(Enclave):
     def _local_moments(
         self, store: SealedColumnStore, pairs: np.ndarray
     ) -> np.ndarray:
-        """Five correlation sums per ``(P, 2)`` pair row (rows match input).
+        """``(mu_l, mu_r, mu_lr)`` per ``(P, 2)`` pair row (rows match input).
 
-        Vectorised: the unique columns are gathered once through the
-        sealed store (one unseal per chunk), then all pair sums are
-        computed as matrix reductions.
+        Vectorised: the unique columns are gathered once, bit-packed,
+        through the sealed store (one unseal per chunk), then all pair
+        sums are set-bit counts.
         """
         pair_array = np.asarray(pairs, dtype=np.int64)
         if pair_array.shape[0] == 0:
-            return np.zeros((0, 5), dtype=np.int64)
+            return np.zeros((0, 3), dtype=np.int64)
         unique_columns, inverse = np.unique(pair_array, return_inverse=True)
         inverse = inverse.reshape(pair_array.shape)
         with ColumnReader(self, store) as reader:
-            gathered = reader.columns(unique_columns.tolist())
+            packed = reader.packed_columns(unique_columns)
         # One moment gather is in flight per enclave at a time (ECALLs
         # are synchronous), so a fixed name is unambiguous — and unlike
         # an id()-derived name it is identical across replayed runs.
         buffer_name = "ld-moments"
-        self.meter.register_buffer(buffer_name, gathered.nbytes)
+        self.meter.register_buffer(buffer_name, packed.nbytes)
         try:
-            return ld.pair_moments_kernel(gathered, inverse)
+            return ld.pair_moments_kernel(packed, inverse)
         finally:
             self.meter.release_buffer(buffer_name)
 
@@ -530,7 +523,7 @@ class GenDPREnclave(Enclave):
         pair_array = np.asarray(request["pairs"], dtype=np.int64)
         if pair_array.ndim != 2 or pair_array.shape[1] != 2:
             raise ProtocolError("malformed LD pair request")
-        moments = self._local_moments(store, pair_array)[:, :3]
+        moments = self._local_moments(store, pair_array)
         return self._protect(
             leader,
             "ld",
@@ -876,7 +869,7 @@ class GenDPREnclave(Enclave):
             with ColumnReader(self, store) as reader:
                 local = reader.column_sums(shard.start, shard.stop)
         else:
-            local = self._local_moments(store, spec["pairs"])[:, :3]
+            local = self._local_moments(store, spec["pairs"])
         stats = ld.pool_moments(membership[:, None], local[None])
         if self._shard_adversary is not None:
             stats = np.asarray(
@@ -1492,9 +1485,8 @@ class GenDPREnclave(Enclave):
         """``(mu_l, mu_r, mu_lr)`` per pair row over the reference population."""
         pair_array = np.asarray(pairs, dtype=np.int64)
         unique_columns, inverse = np.unique(pair_array, return_inverse=True)
-        gathered = ref_reader.columns(unique_columns.tolist())
-        moments = ld.pair_moments_kernel(gathered, inverse.reshape(pair_array.shape))
-        return moments[:, :3]
+        packed = ref_reader.packed_columns(unique_columns)
+        return ld.pair_moments_kernel(packed, inverse.reshape(pair_array.shape))
 
     def _ld_walks(self) -> List[List[int]]:
         """The SNP lists the LD walks traverse: the intersected ``L'``
@@ -1572,7 +1564,7 @@ class GenDPREnclave(Enclave):
                 per_party[parties.index(member)] = moments[: len(real)]
             per_party[parties.index(self.enclave_id)] = self._local_moments(
                 store, real
-            )[:, :3]
+            )
             self._moments.put(
                 real,
                 ld.pool_moments(membership, per_party),

@@ -38,6 +38,7 @@ DEFAULT_SOURCES: Dict[str, str] = {
     # streaming view of the raw genome matrix).
     "repro.tee.storage.ColumnReader.column": "genotype",
     "repro.tee.storage.ColumnReader.columns": "genotype",
+    "repro.tee.storage.ColumnReader.packed_columns": "genotype",
     "repro.tee.storage.ColumnReader.column_sums": "genotype",
     "repro.tee.storage.ColumnReader.iter_chunks": "genotype",
     # Phenotype-bearing genome accessors (case/control panels).

@@ -236,6 +236,9 @@ class TaintedColumnReader:
     def columns(self, indices: Sequence[int]) -> TaintedArray:
         return self._tag(self._reader.columns(indices))
 
+    def packed_columns(self, indices: Sequence[int]) -> TaintedArray:
+        return self._tag(self._reader.packed_columns(indices))
+
     def column_sums(self, *args: Any, **kwargs: Any) -> TaintedArray:
         return self._tag(self._reader.column_sums(*args, **kwargs))
 

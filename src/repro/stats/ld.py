@@ -244,49 +244,55 @@ def reachable_pairs_scalar(snps: Sequence[int], ranking: np.ndarray) -> np.ndarr
 
 
 def pair_moments_kernel(
-    gathered: np.ndarray, inverse: np.ndarray, *, batch: int = 4096
+    words: np.ndarray, inverse: np.ndarray, *, batch: int = 4096
 ) -> np.ndarray:
-    """Five correlation sums per pair over *binary* genotype columns.
+    """Three correlation sums per pair over bit-packed binary columns.
 
     Args:
-        gathered: ``N x K`` matrix of the distinct genotype columns the
-            pairs touch (0/1 entries).
-        inverse: ``P x 2`` indices into ``gathered``'s columns, one row
-            per requested pair.
-        batch: pairs per transient joint-count slab, bounding the
-            working set to ``N x batch``.
+        words: ``W x K`` unsigned words, words on axis 0 and one column
+            per distinct genotype column the pairs touch: one bit per
+            individual, every padding bit zero, as
+            :meth:`repro.tee.storage.ColumnReader.packed_columns`
+            returns them.  Only set bits are counted, so the kernel
+            needs nothing else of the layout.
+        inverse: ``P x 2`` indices into ``words``' columns, one row per
+            requested pair.
+        batch: pairs per transient slab, bounding the working set to
+            ``W x batch`` words.
 
-    Returns ``P x 5`` int64 rows ``(mu_l, mu_r, mu_lr, mu_l2, mu_r2)``.
-    For binary genotypes ``x^2 == x``, so the squared sums repeat the
-    linear ones; the wire and the leader's :class:`MomentTable` keep
-    only the first three columns.
+    Returns ``P x 3`` int64 rows ``(mu_l, mu_r, mu_lr)``: the set bits
+    of the left column, of the right column and of their AND.  For
+    binary genotypes ``x^2 == x``, so the squared sums ``mu_l2`` and
+    ``mu_r2`` repeat ``mu_l`` and ``mu_r``.
     """
     index = np.asarray(inverse, dtype=np.int64)
     if index.ndim != 2 or index.shape[1] != 2:
         raise GenomicsError("pair index array must have shape (P, 2)")
+    data = np.asarray(words)
+    if data.ndim != 2 or data.dtype.kind != "u":
+        raise GenomicsError("packed genotypes must be a 2-D unsigned array")
     num_pairs = index.shape[0]
-    out = np.empty((num_pairs, 5), dtype=np.int64)
+    out = np.empty((num_pairs, 3), dtype=np.int64)
     if num_pairs == 0:
         return out
-    data = np.asarray(gathered)
-    column_sums = data.sum(axis=0, dtype=np.int64)
-    out[:, 0] = column_sums[index[:, 0]]
-    out[:, 1] = column_sums[index[:, 1]]
+    # Columns-first, so each pair's words are two contiguous row reads.
+    columns = np.ascontiguousarray(data.T)
+    bit_counts = np.bitwise_count(columns).sum(axis=1, dtype=np.int64)
+    out[:, 0] = bit_counts[index[:, 0]]
+    out[:, 1] = bit_counts[index[:, 1]]
     for start in range(0, num_pairs, batch):
         stop = min(start + batch, num_pairs)
-        left = data[:, index[start:stop, 0]]
-        right = data[:, index[start:stop, 1]]
-        out[start:stop, 2] = (left & right).sum(axis=0, dtype=np.int64)
-    out[:, 3] = out[:, 0]
-    out[:, 4] = out[:, 1]
+        joint = columns[index[start:stop, 0]] & columns[index[start:stop, 1]]
+        out[start:stop, 2] = np.bitwise_count(joint).sum(axis=1, dtype=np.int64)
     return out
 
 
 def pair_moments_scalar(gathered: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """Loop reference of :func:`pair_moments_kernel` (test oracle)."""
+    """Loop reference of :func:`pair_moments_kernel` over the unpacked
+    ``N x K`` 0/1 columns (test oracle)."""
     data = np.asarray(gathered)
     index = np.asarray(inverse, dtype=np.int64)
-    out = np.empty((index.shape[0], 5), dtype=np.int64)
+    out = np.empty((index.shape[0], 3), dtype=np.int64)
     for row, (left_col, right_col) in enumerate(index.tolist()):
         mu_l = mu_r = mu_lr = 0
         for value_l, value_r in zip(
@@ -295,7 +301,7 @@ def pair_moments_scalar(gathered: np.ndarray, inverse: np.ndarray) -> np.ndarray
             mu_l += value_l
             mu_r += value_r
             mu_lr += value_l & value_r
-        out[row] = (mu_l, mu_r, mu_lr, mu_l, mu_r)
+        out[row] = (mu_l, mu_r, mu_lr)
     return out
 
 

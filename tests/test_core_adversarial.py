@@ -8,6 +8,8 @@ error from the trusted side — never as silently wrong statistics.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,15 @@ class TestTamperedSealedStore:
             + store.chunks[1:],
             label=store.label,
         )
+        with pytest.raises(SealingError):
+            GenDPRProtocol(fresh_federation).run()
+
+    def test_forged_store_shape_fails_during_protocol(self, fresh_federation):
+        # The host keeps the store's shape fields; a member that declared
+        # a population one larger than it sealed must not be believed.
+        member = _member(fresh_federation)
+        host = fresh_federation.hosts[member]
+        host.store = dataclasses.replace(host.store, num_rows=host.store.num_rows + 1)
         with pytest.raises(SealingError):
             GenDPRProtocol(fresh_federation).run()
 

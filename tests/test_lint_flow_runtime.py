@@ -138,6 +138,15 @@ class TestTaintedColumnReader:
             for _start, chunk in reader.iter_chunks():
                 assert taint_of(chunk) == {"genotype", "sealed"}
 
+    def test_packed_gather_leaves_storage_tagged(self, enclave):
+        """The LD kernel's bit-packed gather is a genotype source too."""
+        data = _matrix()
+        store = seal_matrix(enclave, data, "flowtag-packed", chunk_bytes=20 * 4)
+        with TaintedColumnReader(ColumnReader(enclave, store)) as reader:
+            words = reader.packed_columns([3, 0, 11])
+            assert isinstance(words, TaintedArray)
+            assert taint_of(words) == {"genotype", "sealed"}
+
     def test_derived_values_stay_tagged(self, enclave):
         data = _matrix()
         store = seal_matrix(enclave, data, "flowtag2")

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core import pipeline
 from repro.stats import chisq, ld, lr_test
+from repro.tee.storage import pack_columns
 
 SEEDS = (0, 1, 7)
 
@@ -129,45 +130,61 @@ class TestReachablePairs:
 
 
 class TestPairMomentsKernel:
+    """The kernel reads the sealed store's packed words; its oracle
+    reads the same columns unpacked."""
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_scalar_on_random_matrices(self, seed):
         rng = np.random.default_rng(seed)
         gathered = _random_genotypes(rng, rows=120, cols=18)
         inverse = rng.integers(0, 18, size=(200, 2))
-        fast = ld.pair_moments_kernel(gathered, inverse)
+        fast = ld.pair_moments_kernel(pack_columns(gathered), inverse)
         slow = ld.pair_moments_scalar(gathered, inverse)
         assert fast.dtype == np.int64
         assert np.array_equal(fast, slow)
 
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 128, 129])
+    def test_matches_scalar_at_word_boundaries(self, rows):
+        rng = np.random.default_rng(rows)
+        gathered = _random_genotypes(rng, rows=rows, cols=9)
+        gathered[:, 0] = 1  # every row bit set, none of the padding
+        gathered[:, 1] = 0
+        inverse = np.concatenate(
+            (
+                rng.integers(0, 9, size=(40, 2)),
+                [(0, 0), (4, 4), (8, 8)],  # self-pairs
+                [(0, 3), (0, 3), (6, 1), (6, 1)],  # repeated pairs
+            )
+        )
+        fast = ld.pair_moments_kernel(pack_columns(gathered), inverse)
+        assert np.array_equal(fast, ld.pair_moments_scalar(gathered, inverse))
+        assert fast[40].tolist() == [rows, rows, rows]
+
     def test_batching_does_not_change_results(self):
         rng = np.random.default_rng(13)
-        gathered = _random_genotypes(rng, rows=80, cols=10)
+        gathered = pack_columns(_random_genotypes(rng, rows=80, cols=10))
         inverse = rng.integers(0, 10, size=(37, 2))
         whole = ld.pair_moments_kernel(gathered, inverse, batch=4096)
         tiny = ld.pair_moments_kernel(gathered, inverse, batch=3)
         assert np.array_equal(whole, tiny)
 
-    def test_binary_square_sums_repeat_linear(self):
-        rng = np.random.default_rng(3)
-        gathered = _random_genotypes(rng, rows=50, cols=6)
-        inverse = rng.integers(0, 6, size=(20, 2))
-        out = ld.pair_moments_kernel(gathered, inverse)
-        assert np.array_equal(out[:, 3], out[:, 0])
-        assert np.array_equal(out[:, 4], out[:, 1])
-
     def test_empty_pair_list(self):
-        gathered = np.zeros((10, 4), dtype=np.int8)
+        gathered = pack_columns(np.zeros((10, 4), dtype=np.int8))
         out = ld.pair_moments_kernel(gathered, np.empty((0, 2), dtype=np.int64))
-        assert out.shape == (0, 5)
+        assert out.shape == (0, 3)
 
     def test_moments_feed_identical_r_squared(self):
         """Kernel rows and direct column correlation agree pairwise."""
         rng = np.random.default_rng(11)
         gathered = _random_genotypes(rng, rows=150, cols=8)
         inverse = np.asarray([(0, 1), (2, 5), (3, 3)], dtype=np.int64)
-        rows = ld.pair_moments_kernel(gathered, inverse)
+        rows = ld.pair_moments_kernel(pack_columns(gathered), inverse)
         for (left, right), row in zip(inverse.tolist(), rows):
-            moments = ld.PairMoments(*row.tolist(), count=gathered.shape[0])
+            mu_l, mu_r, mu_lr = row.tolist()
+            # Binary genotypes: the squared sums repeat the linear ones.
+            moments = ld.PairMoments(
+                mu_l, mu_r, mu_lr, mu_l, mu_r, count=gathered.shape[0]
+            )
             direct = ld.r_squared_direct(gathered[:, left], gathered[:, right])
             assert ld.r_squared(moments) == pytest.approx(direct, abs=1e-12)
 

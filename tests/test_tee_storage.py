@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from repro.tee.storage import (
     ColumnReader,
     SealedColumnStore,
     chunk_width_for,
+    pack_columns,
     seal_matrix,
 )
 
@@ -55,6 +58,13 @@ class TestSealMatrix:
         with pytest.raises(SealingError):
             seal_matrix(enclave, np.zeros(5, dtype=np.uint8), "t")
 
+    def test_only_binary_accepted(self, enclave):
+        """One bit per genotype: a 2 cannot be packed, so it is refused."""
+        data = _matrix()
+        data[5, 7] = 2
+        with pytest.raises(SealingError):
+            seal_matrix(enclave, data, "t")
+
     def test_store_consistency_validated(self, enclave):
         store = seal_matrix(enclave, _matrix(), "t")
         with pytest.raises(SealingError):
@@ -67,9 +77,14 @@ class TestSealMatrix:
             )
 
     def test_sealed_bytes_exceed_plaintext(self, enclave):
+        """Every chunk carries its AEAD overhead over the packed words."""
         data = _matrix()
-        store = seal_matrix(enclave, data, "t")
-        assert store.sealed_bytes > data.nbytes
+        store = seal_matrix(enclave, data, "t", chunk_bytes=37 * 10)
+        words = pack_columns(data)
+        for index, chunk in enumerate(store.chunks):
+            plaintext = words[:, index * 10 : (index + 1) * 10]
+            assert len(chunk) > plaintext.nbytes
+        assert store.sealed_bytes > words.nbytes
 
 
 class TestColumnReader:
@@ -158,6 +173,26 @@ class TestColumnReader:
             with pytest.raises(SealingError):
                 reader.column(0)
 
+    @pytest.mark.parametrize(
+        "chunk_bytes, forged",
+        [
+            (297 * 100, {"num_rows": 594, "num_cols": 50, "chunk_width": 50}),
+            (297 * 50, {"num_rows": 300}),
+            (297 * 100, {"num_rows": 257}),
+        ],
+        ids=["same-chunk-count", "two-chunks", "same-word-count"],
+    )
+    def test_forged_shape_rejected(self, enclave, chunk_bytes, forged):
+        """The host holds the shape fields; every chunk label binds them."""
+        data = _matrix(rows=297, cols=100)
+        store = seal_matrix(enclave, data, "t", chunk_bytes=chunk_bytes)
+        forgery = dataclasses.replace(store, **forged)
+        with ColumnReader(enclave, forgery) as reader:
+            with pytest.raises(SealingError):
+                reader.column_sums()
+            with pytest.raises(SealingError):
+                reader.packed_columns([0])
+
     def test_wrong_enclave_cannot_read(self, enclave):
         store = seal_matrix(enclave, _matrix(), "t")
         other = DataEnclave(bytes(32), "other-platform")
@@ -166,7 +201,7 @@ class TestColumnReader:
                 reader.column(0)
 
     @given(
-        rows=st.integers(min_value=1, max_value=40),
+        rows=st.integers(min_value=1, max_value=140),
         cols=st.integers(min_value=1, max_value=60),
         chunk_bytes=st.integers(min_value=8, max_value=600),
     )
