@@ -106,12 +106,26 @@ def _padded(pairs: np.ndarray, bound: int) -> np.ndarray:
 _INT32 = np.iinfo(np.int32)
 
 
-def _wire_int32(values: np.ndarray, what: str) -> np.ndarray:
+def _wire_int32(values: Any, what: str) -> np.ndarray:
     """Narrow integer ``values`` to the int32 wire format, range-checked."""
     array = np.asarray(values)
     if array.size and (array.min() < _INT32.min or array.max() > _INT32.max):
         raise ProtocolError(f"{what} overflow the int32 wire format")
     return array.astype(np.int32)
+
+
+def _received_int32(value: Any, what: str) -> np.ndarray:
+    """Receive-side twin of :func:`_wire_int32` for SNP vectors.
+
+    The codec decodes whatever dtype and shape an authenticated frame
+    carries, so anything but the 1-D int32 vector a sender narrowed
+    with :func:`_wire_int32` is refused, never coerced.
+    """
+    if not (
+        isinstance(value, np.ndarray) and value.dtype == np.int32 and value.ndim == 1
+    ):
+        raise ProtocolError(f"{what} must be a 1-D int32 vector")
+    return value
 
 
 class GenDPREnclave(Enclave):
@@ -547,7 +561,7 @@ class GenDPREnclave(Enclave):
         request = self._open(leader, "lr", frame)
         req_id = request["req_id"]
         column_sets = {
-            set_id: [int(c) for c in cols]
+            set_id: _received_int32(cols, "LR column set")
             for set_id, cols in request["column_sets"].items()
         }
         matrices: Dict[str, np.ndarray] = {}
@@ -586,9 +600,10 @@ class GenDPREnclave(Enclave):
         stage = payload["stage"]
         if stage not in _STAGES:
             raise ProtocolError(f"unknown broadcast stage {stage!r}")  # lint: disable=R6 (stage names are protocol control-plane metadata)
-        snps = [int(s) for s in payload["snps"]]
+        vector = _received_int32(payload["snps"], "retained SNP broadcast")
+        snps = vector.tolist()
         self._received_retained[stage] = snps
-        self._broadcast_digests[stage] = self._broadcast_digest(stage, snps)
+        self._broadcast_digests[stage] = self._broadcast_digest(stage, vector)
         return {"stage": stage, "snps": snps}
 
     @ecall
@@ -656,8 +671,10 @@ class GenDPREnclave(Enclave):
 
         Collects only the member population *sizes* (one integer per
         member instead of an ``L``-wide vector); the count vectors
-        themselves flow through the shard combine tree, so the leader
-        never holds per-member counts and its fan-in stays bounded.
+        themselves flow through the shard combine tree, so the leader's
+        fan-in stays bounded.  The tree bounds frames, not what the
+        leader learns: see the sharding notes below for what a parent
+        enclave can recover of its subtree's members.
         """
         self._require_leader()
         if self._shard_plan is None:
@@ -745,7 +762,7 @@ class GenDPREnclave(Enclave):
         self._require_leader()
         if stage not in self._retained:
             raise PhaseOrderError(f"stage {stage!r} not computed yet")
-        snps = [int(s) for s in self._retained[stage]]
+        snps = _wire_int32(self._retained[stage], "retained SNP broadcast")
         # The digest the echo round will attest is always that of the
         # honest payload: a compromised broadcast path (the adversary
         # hook below) mutates what individual members receive, which is
@@ -755,11 +772,14 @@ class GenDPREnclave(Enclave):
         for member in self._other_members():
             member_snps = snps
             if self._equivocation_adversary is not None:
-                member_snps = self._equivocation_adversary.mutate(
-                    stage, member, snps
+                member_snps = _wire_int32(
+                    self._equivocation_adversary.mutate(
+                        stage, member, snps.tolist()
+                    ),
+                    "retained SNP broadcast",
                 )
             frames[member] = self._protect(
-                member, "retained", {"stage": stage, "snps": list(member_snps)}
+                member, "retained", {"stage": stage, "snps": member_snps}
             )
         ocall("retained", frames)
 
@@ -780,8 +800,15 @@ class GenDPREnclave(Enclave):
     #
     # Collusion tolerance rides along: a leaf multiplies its local
     # statistics by its combination-membership vector, so one partial
-    # carries every ``C(G, G-f)`` combination's pool at once and the
-    # leader never sees a single member's contribution in isolation.
+    # carries every ``C(G, G-f)`` combination's pool at once.  That
+    # bounds frames, not what a parent learns.  A leaf child's partial
+    # is that member's own sums.  For f >= 1 a subtree's combination
+    # rows determine each of its members' sums (at f = 1, the full pool
+    # minus each leave-one-out pool), so the root can recover every
+    # member's statistics, as the flat ingest hands them over.  Only
+    # enclaves learn this: partials cross attested channels, and the
+    # host sees ciphertext sizes, which depend on the public
+    # configuration alone.
 
     def _shard_plan_required(self) -> ShardPlan:
         if self._shard_plan is None:
@@ -1318,8 +1345,12 @@ class GenDPREnclave(Enclave):
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _broadcast_digest(stage: str, snps: List[int]) -> bytes:
-        """Canonical digest of a broadcast payload (what the echo signs)."""
+    def _broadcast_digest(stage: str, snps: np.ndarray) -> bytes:
+        """Canonical digest of a broadcast payload (what the echo signs).
+
+        ``snps`` is the int32 wire vector, on the leader and on every
+        member alike, so two digests agree exactly when the lists do.
+        """
         return hashlib.sha256(
             serialization.encode({"stage": stage, "snps": snps})
         ).digest()
@@ -1506,10 +1537,9 @@ class GenDPREnclave(Enclave):
         """
         ranking = self._ranking("f0")
         pairs = np.concatenate([ld.reachable_pairs(w, ranking) for w in walks])
-        # One int64 code per pair (SNP indices fit in 32 bits) dedupes
-        # several times faster than np.unique(axis=0).
-        codes = np.unique((pairs[:, 0] << 32) | pairs[:, 1])
-        return np.stack((codes >> 32, codes & 0xFFFFFFFF), axis=1)
+        # One int64 code per pair dedupes several times faster than
+        # np.unique(axis=0).
+        return ld.code_pairs(np.unique(ld.pair_codes(pairs)))
 
     def _fetch_moments(
         self,
@@ -1614,9 +1644,7 @@ class GenDPREnclave(Enclave):
         walks = self._ld_walks()
         l_prime = walks[0]
         cutoff = self._config()["ld_cutoff"]
-        missing = np.asarray(
-            self._moments.missing(self._ld_pair_union(walks)), dtype=np.int64
-        ).reshape(-1, 2)
+        missing = self._moments.missing(self._ld_pair_union(walks))
         if len(missing):
             bound = _LD_PAD_PER_SNP * max(len(walk) for walk in walks)
             with ColumnReader(self, ref_store) as ref_reader:
@@ -1708,10 +1736,10 @@ class GenDPREnclave(Enclave):
         # referenced by set id from each entry; with collusion tolerance
         # there are at most two (the intersected list and the
         # un-intersected plain list).
-        column_sets: Dict[str, List[int]] = {}
+        column_sets: Dict[str, np.ndarray] = {}
         entries: List[Dict[str, Any]] = []
         if columns:
-            column_sets["main"] = [int(c) for c in columns]
+            column_sets["main"] = _wire_int32(columns, "LR column set")
             for combo_id, _f, combo_members in self._combos:
                 case_freqs, ref_freqs = entry_freqs(combo_id, columns)
                 entries.append(
@@ -1724,7 +1752,7 @@ class GenDPREnclave(Enclave):
                     }
                 )
         if plain_track and plain_columns:
-            column_sets["plain"] = [int(c) for c in plain_columns]
+            column_sets["plain"] = _wire_int32(plain_columns, "LR column set")
             case_freqs, ref_freqs = entry_freqs("f0", plain_columns)
             entries.append(
                 {
@@ -1795,7 +1823,7 @@ class GenDPREnclave(Enclave):
         self,
         store: SealedColumnStore,
         ref_store: SealedColumnStore,
-        column_sets: Dict[str, List[int]],
+        column_sets: Dict[str, np.ndarray],
         entries: List[Dict[str, Any]],
         ocall: OcallExchange,
     ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
@@ -1852,15 +1880,11 @@ class GenDPREnclave(Enclave):
         if leader_sets:
             with ColumnReader(self, store) as reader:
                 for set_id in leader_sets:
-                    local_genotypes[set_id] = reader.columns(
-                        list(column_sets[set_id])
-                    )
+                    local_genotypes[set_id] = reader.columns(column_sets[set_id])
         ref_genotypes: Dict[str, np.ndarray] = {}
         with ColumnReader(self, ref_store) as ref_reader:
             for set_id in sorted({e["set"] for e in entries}):
-                ref_genotypes[set_id] = ref_reader.columns(
-                    list(column_sets[set_id])
-                )
+                ref_genotypes[set_id] = ref_reader.columns(column_sets[set_id])
         merged: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         for entry in entries:
             rid, set_id = entry["rid"], entry["set"]
@@ -2011,9 +2035,12 @@ class GenDPREnclave(Enclave):
             "member_sizes": [self._member_sizes[m] for m in members],
             "reference_counts": self._reference_counts,
             "reference_rows": self._reference_rows,
-            "retained": {k: list(v) for k, v in self._retained.items()},
+            "retained": {
+                k: np.asarray(v, dtype=np.int64) for k, v in self._retained.items()
+            },
             "plain_retained": {
-                k: list(v) for k, v in self._plain_retained.items()
+                k: np.asarray(v, dtype=np.int64)
+                for k, v in self._plain_retained.items()
             },
             "combo_ids": sorted(self._combo_counts),
             "combo_counts": [
@@ -2023,7 +2050,8 @@ class GenDPREnclave(Enclave):
                 self._combo_sizes[c] for c in sorted(self._combo_counts)
             ],
             "combo_safe": {
-                k: list(v) for k, v in sorted(self._combo_safe.items())
+                k: np.asarray(v, dtype=np.int64)
+                for k, v in sorted(self._combo_safe.items())
             },
             "release_power": float(self._release_power),
             # Pooled per-combination and reference moments, the only LD
@@ -2101,11 +2129,9 @@ class GenDPREnclave(Enclave):
             else np.asarray(state["reference_counts"], dtype=np.int64)
         )
         self._reference_rows = int(state["reference_rows"])
-        self._retained = {
-            k: [int(s) for s in v] for k, v in state["retained"].items()
-        }
+        self._retained = {k: v.tolist() for k, v in state["retained"].items()}
         self._plain_retained = {
-            k: [int(s) for s in v] for k, v in state["plain_retained"].items()
+            k: v.tolist() for k, v in state["plain_retained"].items()
         }
         # np.array (not asarray): the decoder hands back read-only
         # buffer views, and sharded count folds write into slices.
@@ -2117,7 +2143,7 @@ class GenDPREnclave(Enclave):
             c: int(s) for c, s in zip(state["combo_ids"], state["combo_sizes"])
         }
         self._combo_safe = {
-            k: tuple(int(s) for s in v) for k, v in state["combo_safe"].items()
+            k: tuple(v.tolist()) for k, v in state["combo_safe"].items()
         }
         self._release_power = float(state["release_power"])
         self._ranking_cache = {}

@@ -36,12 +36,12 @@ class StreamCipher:
 
     The key schedule is computed once per instance: the absorbed key's
     SHA-256 state is kept as a reusable partial hash (per frame only the
-    nonce is absorbed into a copy), and one Philox bit generator plus
-    one ``Generator`` facade are re-keyed in place per frame instead of
-    being constructed from scratch.  Re-keying restores the exact state
-    a fresh ``Philox(key=...)`` would have, so the keystream is
-    bit-identical to the original per-frame construction.  Instances are
-    thread-safe; channel endpoints hold one cipher for their lifetime.
+    nonce is absorbed into a copy), and one Philox bit generator is
+    re-keyed in place per frame instead of being constructed from
+    scratch.  Re-keying restores the exact state a fresh
+    ``Philox(key=...)`` would have, so the keystream is bit-identical to
+    the original per-frame construction.  Instances are thread-safe;
+    channel endpoints hold one cipher for their lifetime.
     """
 
     def __init__(self, key: bytes):
@@ -52,7 +52,6 @@ class StreamCipher:
         #: the nonce, saving the key-prefix compression per frame.
         self._hasher = hashlib.sha256(self._key)
         self._bitgen = np.random.Philox()
-        self._generator_facade = np.random.Generator(self._bitgen)
         self._state_template = self._bitgen.state
         self._lock = threading.Lock()
 
@@ -60,8 +59,8 @@ class StreamCipher:
         if len(nonce) != NONCE_SIZE:
             raise ValueError(f"nonce must be {NONCE_SIZE} bytes")
 
-    def _generator(self, nonce: bytes) -> np.random.Generator:
-        """Re-key the cached generator for ``(key, nonce)``.
+    def _rekey(self, nonce: bytes) -> np.random.Philox:
+        """Re-key the cached bit generator for ``(key, nonce)``.
 
         Caller must hold ``self._lock`` until the keystream is drawn.
         """
@@ -78,7 +77,7 @@ class StreamCipher:
         state["has_uint32"] = 0
         state["uinteger"] = 0
         self._bitgen.state = state
-        return self._generator_facade
+        return self._bitgen
 
     def keystream(self, nonce: bytes, length: int) -> bytes:
         """Generate ``length`` keystream bytes for ``(key, nonce)``."""
@@ -87,8 +86,11 @@ class StreamCipher:
         if length == 0:
             self._validate_nonce(nonce)
             return b""
+        # The raw 64-bit words, little-endian, are the bytes
+        # ``Generator.bytes(length)`` returns without its uint32 detour.
         with self._lock:
-            return self._generator(nonce).bytes(length)
+            words = self._rekey(nonce).random_raw(-(-length // 8))
+        return words.astype("<u8", copy=False).tobytes()[:length]
 
     def process(self, nonce: bytes, data: bytes) -> bytes:
         """XOR ``data`` with the keystream (involution)."""

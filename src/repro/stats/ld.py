@@ -343,10 +343,25 @@ def pool_moments_scalar(membership: np.ndarray, stats: np.ndarray) -> np.ndarray
 PairList = Union[Sequence[Tuple[int, int]], np.ndarray]
 
 
-def _pair_keys(pairs: PairList) -> List[Tuple[int, int]]:
-    """``pairs`` as hashable ``(left, right)`` tuples."""
-    rows = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).tolist()
-    return [(left, right) for left, right in rows]
+def pair_codes(pairs: PairList) -> np.ndarray:
+    """One int64 code ``left << 32 | right`` per ``(left, right)`` pair.
+
+    SNP indices fit in 32 bits, so distinct pairs get distinct codes,
+    ordered as the ``(left, right)`` tuples are.
+    """
+    array = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return (array[:, 0] << 32) | array[:, 1]
+
+
+def code_pairs(codes: np.ndarray) -> np.ndarray:
+    """The ``(P, 2)`` int64 pairs of :func:`pair_codes`' codes."""
+    return np.stack((codes >> 32, codes & 0xFFFFFFFF), axis=1)
+
+
+def _first_seen(codes: np.ndarray) -> np.ndarray:
+    """The distinct ``codes`` in first-seen order."""
+    _distinct, first = np.unique(codes, return_index=True)
+    return codes[np.sort(first)]
 
 
 class MomentTable:
@@ -355,63 +370,83 @@ class MomentTable:
     ``case`` is the ``C x P x 3`` block of every combination's pooled
     case-side ``(mu_l, mu_r, mu_lr)`` sums and ``reference`` the
     ``P x 3`` reference sums, both indexed by the id :meth:`put` assigns
-    a pair.  Genotypes are binary, so the squared sums ``mu_l2`` and
-    ``mu_r2`` repeat ``mu_l`` and ``mu_r`` and are not stored.  A pair
-    is cached exactly when it has an id: rows are written for every
-    combination and the reference at once, so nothing is ever
-    partially cached.
+    a pair (ids go to new pairs in first-seen order).  Genotypes are
+    binary, so the squared sums ``mu_l2`` and ``mu_r2`` repeat ``mu_l``
+    and ``mu_r`` and are not stored.  A pair is cached exactly when it
+    has an id: rows are written for every combination and the
+    reference at once, so nothing is ever partially cached.
     """
 
     def __init__(self, num_pools: int):
-        self._ids: Dict[Tuple[int, int], int] = {}
+        #: :func:`pair_codes` code -> row id, for the walk's scalar reads.
+        self._rows: Dict[int, int] = {}
         self.pairs = np.empty((0, 2), dtype=np.int64)
         self.case = np.empty((num_pools, 0, 3), dtype=np.int64)
         self.reference = np.empty((0, 3), dtype=np.int64)
+        self._sort_codes()
+
+    def _sort_codes(self) -> None:
+        """Sort the rows' codes for :meth:`_row_ids`' batch lookups."""
+        codes = pair_codes(self.pairs)
+        self._sorted_rows = np.argsort(codes)
+        self._sorted_codes = codes[self._sorted_rows]
 
     def __contains__(self, pair: Tuple[int, int]) -> bool:
-        return pair in self._ids
+        left, right = pair
+        return (left << 32 | right) in self._rows
 
-    def missing(self, pairs: PairList) -> List[Tuple[int, int]]:
-        """The distinct ``pairs`` without an id, in first-seen order."""
-        return [
-            pair for pair in dict.fromkeys(_pair_keys(pairs))
-            if pair not in self._ids
-        ]
+    def _row_ids(self, codes: np.ndarray) -> np.ndarray:
+        """The row id of each code, ``-1`` where the pair has none."""
+        if not len(self._sorted_codes):
+            return np.full(len(codes), -1, dtype=np.int64)
+        ranks = np.minimum(
+            np.searchsorted(self._sorted_codes, codes), len(self._sorted_codes) - 1
+        )
+        return np.where(
+            self._sorted_codes[ranks] == codes, self._sorted_rows[ranks], -1
+        )
+
+    def missing(self, pairs: PairList) -> np.ndarray:
+        """The distinct ``pairs`` without an id, in first-seen order, as
+        a ``(P, 2)`` int64 array."""
+        codes = _first_seen(pair_codes(pairs))
+        return code_pairs(codes[self._row_ids(codes) < 0])
 
     def put(self, pairs: PairList, case: np.ndarray, reference: np.ndarray) -> None:
         """Install ``C x len(pairs) x 3`` case and ``len(pairs) x 3``
         reference rows; a pair that already has an id is overwritten."""
-        keys = _pair_keys(pairs)
-        ids = [self._ids.setdefault(pair, len(self._ids)) for pair in keys]
-        grow = len(self._ids) - self.pairs.shape[0]
-        if grow:
-            self.pairs = np.concatenate(
-                (self.pairs, np.zeros((grow, 2), dtype=np.int64))
-            )
+        codes = pair_codes(pairs)
+        index = self._row_ids(codes)
+        fresh = _first_seen(codes[index < 0])
+        if len(fresh):
+            start = len(self.pairs)
+            self._rows.update(zip(fresh.tolist(), range(start, start + len(fresh))))
+            self.pairs = np.concatenate((self.pairs, code_pairs(fresh)))
             self.case = np.concatenate(
-                (self.case, np.zeros((self.case.shape[0], grow, 3), np.int64)),
+                (self.case, np.zeros((self.case.shape[0], len(fresh), 3), np.int64)),
                 axis=1,
             )
             self.reference = np.concatenate(
-                (self.reference, np.zeros((grow, 3), dtype=np.int64))
+                (self.reference, np.zeros((len(fresh), 3), dtype=np.int64))
             )
-        index = np.asarray(ids, dtype=np.int64)
-        self.pairs[index] = np.asarray(keys, dtype=np.int64).reshape(-1, 2)
+            self._sort_codes()
+            index = self._row_ids(codes)
         self.case[:, index] = case
         self.reference[index] = reference
 
     def pooled(self, pool: int, pair: Tuple[int, int]) -> List[int]:
         """Pool ``pool``'s case sums plus the reference sums of ``pair``,
         as ``[mu_l, mu_r, mu_lr]``."""
-        row = self._ids[pair]
+        left, right = pair
+        row = self._rows[left << 32 | right]
         return (self.case[pool, row] + self.reference[row]).tolist()
 
     def case_rows(self, pairs: PairList) -> Optional[np.ndarray]:
         """``C x len(pairs) x 3`` case rows, or ``None`` if one is uncached."""
-        keys = _pair_keys(pairs)
-        if any(pair not in self._ids for pair in keys):
+        index = self._row_ids(pair_codes(pairs))
+        if (index < 0).any():
             return None
-        return self.case[:, [self._ids[pair] for pair in keys]]
+        return self.case[:, index]
 
     def state(self) -> Dict[str, np.ndarray]:
         """The table as three arrays (its checkpoint form)."""
@@ -424,10 +459,9 @@ class MomentTable:
         table.pairs = np.array(state["pairs"], dtype=np.int64).reshape(-1, 2)
         table.case = np.array(state["case"], dtype=np.int64)
         table.reference = np.array(state["reference"], dtype=np.int64)
-        table._ids = {
-            (left, right): row
-            for row, (left, right) in enumerate(table.pairs.tolist())
-        }
+        codes = pair_codes(table.pairs)
+        table._rows = dict(zip(codes.tolist(), range(len(codes))))
+        table._sort_codes()
         return table
 
 

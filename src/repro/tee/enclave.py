@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Set, Type, TypeVar
 
+from ..crypto.authenticated import StreamAead
 from ..crypto.kdf import derive_subkey
 from ..crypto.rng import DeterministicRng, system_random_bytes
 from ..errors import EnclaveCrashedError, EnclaveViolationError, TEEError
@@ -76,6 +77,7 @@ class Enclave:
         self._rng = rng if rng is not None else DeterministicRng(
             system_random_bytes(32)
         )
+        self._sealing_aead: Optional[StreamAead] = None
         self._ecalls = self._collect_ecalls()
 
     # -- ECALL machinery -------------------------------------------------------
@@ -124,6 +126,7 @@ class Enclave:
         self._crashed = True
         self._platform_key = b"\x00" * 32
         self._rng = DeterministicRng(b"crashed")
+        self._sealing_aead = None
 
     @property
     def crashed(self) -> bool:
@@ -139,6 +142,18 @@ class Enclave:
             self._platform_key, "sealing/" + self.measurement.hex()
         )
 
+    def _sealer(self) -> StreamAead:
+        """The AEAD under :meth:`_sealing_key`, built on first use.
+
+        Every seal and unseal of this enclave shares it, so no blob
+        re-derives the sealing key and its subkeys.
+        """
+        if self._crashed:
+            raise EnclaveCrashedError(f"enclave {self.enclave_id} has crashed")
+        if self._sealing_aead is None:
+            self._sealing_aead = StreamAead(self._sealing_key())
+        return self._sealing_aead
+
     def random_bytes(self, length: int) -> bytes:
         """Trusted randomness (hardware DRNG analogue)."""
         return self._rng.bytes(length)
@@ -152,7 +167,7 @@ class Enclave:
         The audit harness in :mod:`repro.core.audit` uses this to verify
         untrusted code never reads them directly.  Subclasses extend it.
         """
-        return {"_platform_key", "_rng"}
+        return {"_platform_key", "_rng", "_sealing_aead"}
 
 
 def expected_measurement(enclave_class: Type[Enclave]) -> Measurement:

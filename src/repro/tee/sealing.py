@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto.authenticated import StreamAead
 from ..errors import AuthenticationError, SealingError
 from .enclave import Enclave
 
@@ -62,8 +61,7 @@ def seal(
     unsealing under a different label or context fails, preventing
     blob-swapping between storage slots.
     """
-    aead = StreamAead(enclave._sealing_key())
-    frame = aead.encrypt(
+    frame = enclave._sealer().encrypt(
         plaintext, associated_data=_associated_data(label, context)
     )
     return SealedBlob(data=_SEAL_MAGIC + frame, label=label, context=context)
@@ -73,7 +71,7 @@ def unseal(enclave: Enclave, blob: SealedBlob) -> bytes:
     """Unseal a blob; raises :class:`SealingError` on any mismatch."""
     if not blob.data.startswith(_SEAL_MAGIC):
         raise SealingError("not a sealed blob")
-    aead = StreamAead(enclave._sealing_key())
+    aead = enclave._sealer()
     try:
         return aead.decrypt(
             blob.data[len(_SEAL_MAGIC) :],

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+from repro import partition_cohort
 from repro.core.enclave_logic import GenDPREnclave
+from repro.core.federation import build_federation
 from repro.errors import PhaseOrderError, ProtocolError, TEEError
 
 _KEY = bytes(range(32))
@@ -137,3 +140,38 @@ class TestTrustedStateDeclaration:
         assert "_channels" in names
         assert "_platform_key" in names
         assert "_data_signer" in names
+
+
+class TestMalformedSnpVectors:
+    """SNP lists arrive as 1-D int32 vectors or not at all.
+
+    The frames below are authenticated by the leader's own channel, so
+    they reach the codec intact, and the codec decodes any dtype and
+    shape.  The receiving ECALL must refuse them, not truncate a float
+    vector or fail on a 2-D array with a bare ``TypeError``.
+    """
+
+    @pytest.mark.parametrize("ecall", ["ingest_retained", "answer_lr"])
+    @pytest.mark.parametrize(
+        "snps",
+        [
+            np.arange(4, dtype=np.float64),
+            np.arange(6, dtype=np.int32).reshape(2, 3),
+        ],
+        ids=["float64-vector", "int32-matrix"],
+    )
+    def test_refused(self, small_cohort, study_config, ecall, snps):
+        federation = build_federation(
+            study_config, partition_cohort(small_cohort, 3), small_cohort
+        )
+        leader = federation.enclaves[federation.leader_id]
+        member = next(m for m in federation.member_ids if m != federation.leader_id)
+        if ecall == "ingest_retained":
+            payload = {"stage": "prime", "snps": snps}
+            args = (leader._protect(member, "retained", payload),)
+        else:
+            payload = {"req_id": "lr-1", "column_sets": {"main": snps}, "requests": []}
+            store = federation.hosts[member].store
+            args = (store, leader._protect(member, "lr", payload))
+        with pytest.raises(ProtocolError, match="1-D int32 vector"):
+            federation.enclaves[member].ecall(ecall, *args)

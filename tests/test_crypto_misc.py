@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +58,27 @@ class TestStreamCipher:
         cipher = StreamCipher(_KEY)
         nonce = bytes(16)
         assert cipher.process(nonce, cipher.process(nonce, data)) == data
+
+    @pytest.mark.parametrize(
+        "length, sha256",
+        [
+            (1, "380918b946a526640a40df5dced6516794f3d97bbd9e6bb553d037c4439f31c3"),
+            (7, "dd278beb0d48699bf38676d9c2dd04c8213130e0f0e2223d64abd787fe9daca1"),
+            (8, "162778205d2dc4fa37f3bc208184c611da154ea4ffd2b4e7a03ab0ecd7dbf5f1"),
+            (9, "059c4024047b4e49c10658f5699d5aafb1d67f8186856d21744b1f5627bd276d"),
+            (4166, "54c85d3ea842701072b391e69b05194c1bc2510f13e2c74454d064698119f531"),
+            (
+                2**20 + 3,
+                "6538121ec01774ac1b3781546edb8a8d0263714b8e681812ca8991c5fa1d12e1",
+            ),
+        ],
+    )
+    def test_keystream_pinned(self, length, sha256):
+        """Known-answer keystreams, across 8-byte word boundaries: every
+        sealed blob and channel frame depends on these exact bytes."""
+        stream = StreamCipher(_KEY).keystream(bytes(range(NONCE_SIZE)), length)
+        assert len(stream) == length
+        assert hashlib.sha256(stream).hexdigest() == sha256
 
 
 class TestSigning:

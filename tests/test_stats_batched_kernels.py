@@ -308,7 +308,9 @@ class TestMomentTable:
         table, _case, _reference = self._table()
         assert len(table.pairs) == 3
         assert (1, 3) in table and (3, 4) not in table
-        assert table.missing([(3, 4), (1, 2), (3, 4), (0, 9)]) == [(3, 4), (0, 9)]
+        assert np.array_equal(
+            table.missing([(3, 4), (1, 2), (3, 4), (0, 9)]), [(3, 4), (0, 9)]
+        )
 
     def test_pooled_adds_case_and_reference_rows(self):
         table, case, reference = self._table()
@@ -340,6 +342,50 @@ class TestMomentTable:
         assert all(
             np.array_equal(restored.state()[k], table.state()[k]) for k in state
         )
-        assert restored.missing([(1, 2), (2, 3), (5, 6)]) == [(5, 6)]
+        assert np.array_equal(restored.missing([(1, 2), (2, 3), (5, 6)]), [(5, 6)])
         restored.put([(1, 2)], np.zeros((2, 1, 3)), np.zeros((1, 3)))
         assert restored.pooled(0, (1, 2)) == [0] * 3
+
+    _pairs = st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=0, max_size=12
+    )
+
+    @given(batches=st.lists(_pairs, min_size=1, max_size=5), query=_pairs)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_a_dict_of_tuples(self, batches, query):
+        """Batched puts with repeats against a dict-of-tuples oracle:
+        ids in first-seen order, a later put (or a later repeat in one
+        put) overwrites a pair's rows, ``case_rows`` is ``None`` when any
+        pair is uncached, and the state round-trips."""
+        pools = 2
+        table = ld.MomentTable(pools)
+        ids = {}
+        rows = {}
+        for batch_index, batch in enumerate(batches):
+            case = np.arange(pools * len(batch) * 3).reshape(pools, len(batch), 3)
+            case = case + 1000 * (batch_index + 1)
+            reference = -np.arange(len(batch) * 3).reshape(len(batch), 3)
+            table.put(batch, case, reference)
+            for position, pair in enumerate(batch):
+                ids.setdefault(pair, len(ids))
+                rows[pair] = (case[:, position], reference[position])
+
+        for candidate in (table, ld.MomentTable.from_state(table.state())):
+            assert candidate.pairs.tolist() == [list(p) for p in ids]
+            for pair, (case_row, reference_row) in rows.items():
+                assert pair in candidate
+                for pool in range(pools):
+                    expected = (case_row[pool] + reference_row).tolist()
+                    assert candidate.pooled(pool, pair) == expected
+            uncached = [p for p in dict.fromkeys(query) if p not in ids]
+            assert candidate.missing(query).tolist() == [list(p) for p in uncached]
+            assert all(pair not in candidate for pair in uncached)
+            block = candidate.case_rows(query)
+            if uncached:
+                assert block is None
+            else:
+                expected = [rows[p][0] for p in query]
+                assert block.shape == (pools, len(query), 3)
+                assert all(
+                    np.array_equal(block[:, i], row) for i, row in enumerate(expected)
+                )

@@ -119,6 +119,19 @@ class TestCrash:
         with pytest.raises(EnclaveCrashedError):
             enclave._sealing_key()
 
+    def test_crash_stops_sealing_and_unsealing(self):
+        """The sealing AEAD an enclave has already built dies with it."""
+        from repro.tee.sealing import seal, unseal
+
+        enclave = CounterEnclave()
+        blob = seal(enclave, b"state", label="slot")
+        assert unseal(enclave, blob) == b"state"
+        enclave.crash()
+        with pytest.raises(EnclaveCrashedError):
+            seal(enclave, b"state", label="slot")
+        with pytest.raises(EnclaveCrashedError):
+            unseal(enclave, blob)
+
 
 class TestGuardedProxy:
     def test_allows_ecall_and_identity(self):
