@@ -5,9 +5,6 @@ The runnable benchmarks live in ``benchmarks/`` at the repository root
 machinery so those files stay declarative.
 """
 
-from .fig5 import fig5_report, study_decisions
-from .serve import serve_report
-from .shard import shard_report
 from .reporting import (
     render_collusion_table,
     render_resource_table,
@@ -32,10 +29,6 @@ from .workloads import (
 )
 
 __all__ = [
-    "fig5_report",
-    "serve_report",
-    "shard_report",
-    "study_decisions",
     "render_collusion_table",
     "render_resource_table",
     "render_runtime_figure",

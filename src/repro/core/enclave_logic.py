@@ -114,17 +114,29 @@ def _wire_int32(values: Any, what: str) -> np.ndarray:
     return array.astype(np.int32)
 
 
-def _received_int32(value: Any, what: str) -> np.ndarray:
-    """Receive-side twin of :func:`_wire_int32` for SNP vectors.
+def _received_int32(
+    value: Any, what: str, shape: Tuple[Optional[int], ...] = (None,)
+) -> np.ndarray:
+    """Receive-side twin of :func:`_wire_int32`.
 
     The codec decodes whatever dtype and shape an authenticated frame
-    carries, so anything but the 1-D int32 vector a sender narrowed
-    with :func:`_wire_int32` is refused, never coerced.
+    carries, so anything but the int32 array a sender narrowed with
+    :func:`_wire_int32` is refused, never coerced.  ``shape`` is the
+    expected length per axis, ``None`` where any length goes: SNP
+    vectors are ``(None,)``, pair lists ``(None, 2)``.
     """
     if not (
-        isinstance(value, np.ndarray) and value.dtype == np.int32 and value.ndim == 1
+        isinstance(value, np.ndarray)
+        and value.dtype == np.int32
+        and value.ndim == len(shape)
+        and all(want is None or got == want for got, want in zip(value.shape, shape))
     ):
-        raise ProtocolError(f"{what} must be a 1-D int32 vector")
+        expected = (
+            "a 1-D int32 vector"
+            if shape == (None,)
+            else f"an int32 array of shape {shape}"
+        )
+        raise ProtocolError(f"{what} must be {expected}")
     return value
 
 
@@ -534,9 +546,7 @@ class GenDPREnclave(Enclave):
         pair row, padding included (int32 on the wire)."""
         leader = self._config()["leader_id"]
         request = self._open(leader, "ld", frame)
-        pair_array = np.asarray(request["pairs"], dtype=np.int64)
-        if pair_array.ndim != 2 or pair_array.shape[1] != 2:
-            raise ProtocolError("malformed LD pair request")
+        pair_array = _received_int32(request["pairs"], "LD pair request", (None, 2))
         moments = self._local_moments(store, pair_array)
         return self._protect(
             leader,
@@ -854,9 +864,9 @@ class GenDPREnclave(Enclave):
             "shard": shard_index,
         }
         if spec["kind"] == "moments":
-            pair_array = np.asarray(spec["pairs"], dtype=np.int64)
-            if pair_array.ndim != 2 or pair_array.shape[1] != 2:
-                raise ProtocolError("malformed shard pair list")
+            pair_array = _received_int32(
+                spec["pairs"], "shard pair list", (None, 2)
+            ).astype(np.int64)
             snp_count = self._config()["snp_count"]
             if pair_array.size and (
                 pair_array.min() < 0 or pair_array.max() >= snp_count

@@ -10,8 +10,10 @@ single implementation: the fuzzer and the chaos tiers all execute the
 same invariant code path, so a fuzz-discovered violation is exactly a
 chaos-tier failure and vice versa.
 
-:class:`DecisionOracle` owns the cohort, the fault-free references per
-(execution mode, collusion) cell and the comparison/classification
+:func:`study_decisions` is the one decision record: every test that
+asks whether two deployments decided alike compares it.
+:class:`DecisionOracle` owns the cohort, one fault-free sequential
+reference per collusion setting and the comparison/classification
 logic; :meth:`DecisionOracle.execute` runs one configured study and
 returns an :class:`OracleRun` with the verdict, the telemetry the
 tiers assert over, and the behaviour-counter units the fuzzer keys its
@@ -21,7 +23,7 @@ corpus on (bridged through :mod:`repro.obs.metrics`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from ..config import (
     CollusionPolicy,
@@ -30,6 +32,7 @@ from ..config import (
 )
 from ..core.federation import Federation, build_federation
 from ..core.leader import elect_leader
+from ..core.phases import StudyResult
 from ..core.protocol import GenDPRProtocol
 from ..errors import ReproError
 from ..genomics import SyntheticSpec, generate_cohort, partition_cohort
@@ -46,6 +49,33 @@ DEFAULT_NUM_CONTROL = 50
 DEFAULT_MEMBERS = 3
 DEFAULT_STUDY_SEED = 5
 DEFAULT_COHORT_SEED = 5
+
+
+def study_decisions(result: StudyResult) -> Dict[str, Any]:
+    """Everything a study decides, and nothing it merely measures.
+
+    Two runs decided alike exactly when these records compare equal:
+    the retained sets, the release power and, under collusion, the
+    baseline and every combination's safe set.  Timings, wire bytes
+    and ``ocall_rounds`` stay out, because execution mode, sharding
+    and supervision may change them without changing a decision.
+    """
+    collusion = None
+    if result.collusion is not None:
+        collusion = {
+            "baseline_safe": list(result.collusion.baseline_safe),
+            "outcomes": sorted(
+                (list(o.member_ids), o.f, list(o.safe_snps))
+                for o in result.collusion.outcomes
+            ),
+        }
+    return {
+        "l_prime": list(result.l_prime),
+        "l_double_prime": list(result.l_double_prime),
+        "l_safe": list(result.l_safe),
+        "release_power": result.release_power,
+        "collusion": collusion,
+    }
 
 
 @dataclass
@@ -152,7 +182,7 @@ class DecisionOracle:
         self.snp_count = cohort.num_snps
         self.study_id = study_id
         self.study_seed = study_seed
-        self._references: Dict[Tuple[str, int], object] = {}
+        self._references: Dict[int, Dict[str, Any]] = {}
 
     # -- federation shape -----------------------------------------------------
 
@@ -168,27 +198,29 @@ class DecisionOracle:
 
     # -- references -----------------------------------------------------------
 
-    def reference(self, mode: str, f: int):
-        """The fault-free reference of one (mode, collusion) cell.
+    def reference(self, f: int) -> Dict[str, Any]:
+        """The decision record of the fault-free run at collusion ``f``.
 
-        Computed with faults, resilience *and* integrity disabled, so
-        every faulted run simultaneously validates that the defensive
-        machinery changes no release decision.
+        One sequential, unsharded run with faults, resilience *and*
+        integrity disabled, so every faulted run simultaneously
+        validates that the defensive machinery, the execution mode and
+        the shard count change no release decision.
         """
-        key = (mode, f)
-        if key not in self._references:
+        if f not in self._references:
             config = StudyConfig(
                 snp_count=self.snp_count,
                 study_id=self.study_id,
                 seed=self.study_seed,
-                execution=ExecutionConfig(mode=mode),
+                execution=ExecutionConfig.sequential(),
                 collusion=(
                     CollusionPolicy.static(f) if f else CollusionPolicy.none()
                 ),
             )
             federation = self._build(config)
-            self._references[key] = GenDPRProtocol(federation).run()
-        return self._references[key]
+            self._references[f] = study_decisions(
+                GenDPRProtocol(federation).run()
+            )
+        return self._references[f]
 
     def _build(self, config: StudyConfig) -> Federation:
         return build_federation(
@@ -209,15 +241,13 @@ class DecisionOracle:
 
         The verdict contract is the chaos tiers' invariant: either the
         run completes with decisions bit-identical to the fault-free
-        reference of its (mode, collusion) cell, or it aborts with a
+        reference at its collusion setting, or it aborts with a
         classified :class:`~repro.errors.ReproError`.  Anything else —
         divergent decisions, an unclassified exception — is a
         *violation*.  When ``collector`` is given, arcs of the
         detection modules are recorded around the protocol run.
         """
-        reference = self.reference(
-            config.execution.mode, max(config.collusion.f_values, default=0)
-        )
+        reference = self.reference(max(config.collusion.f_values, default=0))
         federation = self._build(config)
         protocol = GenDPRProtocol(federation)
         result = None
@@ -256,22 +286,14 @@ class DecisionOracle:
             result=result,
         )
 
-    def _compare(self, result, reference) -> Optional[str]:
-        """Bit-identical decision check; a reason string on divergence."""
-        if result.l_prime != reference.l_prime:
-            return "divergent_decisions:l_prime"
-        if result.l_double_prime != reference.l_double_prime:
-            return "divergent_decisions:l_double_prime"
-        if result.l_safe != reference.l_safe:
-            return "divergent_decisions:l_safe"
-        if reference.collusion is not None:
-            if result.collusion is None:
-                return "divergent_decisions:collusion_missing"
-            if (
-                result.collusion.baseline_safe
-                != reference.collusion.baseline_safe
-            ):
-                return "divergent_decisions:collusion_baseline"
+    def _compare(
+        self, result: StudyResult, reference: Dict[str, Any]
+    ) -> Optional[str]:
+        """Bit-identical decision check, naming the first field that differs."""
+        decided = study_decisions(result)
+        for name, expected in reference.items():
+            if decided[name] != expected:
+                return f"divergent_decisions:{name}"
         return None
 
     # -- genome front door ----------------------------------------------------

@@ -159,8 +159,9 @@ def window_pairs(snps: Sequence[int], window: int) -> np.ndarray:
     Returns the ``(P, 2)`` int64 array of pairs ``(snps[i], snps[j])``
     with ``i < j <= min(i + window, len(snps) - 1)``.  The LD exchange
     fetches :func:`reachable_pairs` instead, which covers every pair
-    the walk can compare; ``repro.bench.shard`` still times this kernel
-    against its scalar loop.
+    the walk can compare.  No study calls this kernel, but perfbench's
+    ledger wraps it by name, so it stays until the ledger wraps
+    :func:`reachable_pairs` instead.
     """
     if window < 1:
         raise GenomicsError("window must be at least 1")

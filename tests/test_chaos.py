@@ -1,9 +1,10 @@
 """Chaos suite: seeded fault-plan sweep over the supervised runtime.
 
 Every run of the sweep must either complete with release decisions
-**bit-identical** to the fault-free reference of its (execution mode,
-collusion) cell, or abort with a *classified* :class:`ReproError`
-subclass — never hang, never return a divergent answer.
+**bit-identical** to the fault-free sequential reference at its
+collusion setting (parallel runs included), or abort with a
+*classified* :class:`ReproError` subclass — never hang, never return a
+divergent answer.
 
 The invariant itself lives in :mod:`repro.fuzz.oracle` — the same
 harness the fuzzer (``repro fuzz``) and the Byzantine tier execute —

@@ -9,8 +9,8 @@ checkpoint freshness; see ``docs/RESILIENCE.md``).
 
 The verdict contract is the crash tier's, but strictly harder: every
 run must either complete with release decisions **bit-identical** to
-the fault-free reference of its (mode, collusion) cell, or abort with
-a *classified* integrity error — and every detection must increment
+the fault-free sequential reference at its collusion setting, or abort
+with a *classified* integrity error — and every detection must increment
 its ``integrity.*`` counter.  The invariant executes inside
 :mod:`repro.fuzz.oracle` (shared with the fuzzer and the crash tier)
 and the 18 adversarial genomes come from :mod:`repro.fuzz.seeds`.

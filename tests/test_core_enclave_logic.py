@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from repro import partition_cohort
+from repro.config import ShardingConfig
 from repro.core.enclave_logic import GenDPREnclave
 from repro.core.federation import build_federation
 from repro.errors import PhaseOrderError, ProtocolError, TEEError
@@ -143,12 +145,13 @@ class TestTrustedStateDeclaration:
 
 
 class TestMalformedSnpVectors:
-    """SNP lists arrive as 1-D int32 vectors or not at all.
+    """SNP lists arrive as 1-D int32 vectors, and LD pair lists as
+    (P, 2) int32 matrices, or not at all.
 
     The frames below are authenticated by the leader's own channel, so
     they reach the codec intact, and the codec decodes any dtype and
     shape.  The receiving ECALL must refuse them, not truncate a float
-    vector or fail on a 2-D array with a bare ``TypeError``.
+    array or fail on a wrong shape with a bare ``TypeError``.
     """
 
     @pytest.mark.parametrize("ecall", ["ingest_retained", "answer_lr"])
@@ -174,4 +177,30 @@ class TestMalformedSnpVectors:
             store = federation.hosts[member].store
             args = (store, leader._protect(member, "lr", payload))
         with pytest.raises(ProtocolError, match="1-D int32 vector"):
+            federation.enclaves[member].ecall(ecall, *args)
+
+    @pytest.mark.parametrize("ecall", ["answer_ld", "ingest_shard_task"])
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            np.array([[12.7, 30.9]]),
+            np.array([12, 30], dtype=np.int32),
+        ],
+        ids=["float64-matrix", "int32-vector"],
+    )
+    def test_pair_lists_refused(self, small_cohort, study_config, ecall, pairs):
+        config = dataclasses.replace(study_config, sharding=ShardingConfig.over(2))
+        federation = build_federation(
+            config, partition_cohort(small_cohort, 3), small_cohort
+        )
+        leader = federation.enclaves[federation.leader_id]
+        member = next(m for m in federation.member_ids if m != federation.leader_id)
+        if ecall == "answer_ld":
+            payload = {"req_id": "ld-1", "pairs": pairs}
+            store = federation.hosts[member].store
+            args = (store, leader._protect(member, "ld", payload))
+        else:
+            payload = {"task": "t-1", "kind": "moments", "shard": 0, "pairs": pairs}
+            args = (leader._protect(member, "shard-task", payload),)
+        with pytest.raises(ProtocolError, match=r"int32 array of shape \(None, 2\)"):
             federation.enclaves[member].ecall(ecall, *args)

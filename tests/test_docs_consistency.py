@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import pathlib
 import re
 
@@ -11,6 +12,8 @@ import pytest
 ROOT = pathlib.Path(__file__).parent.parent
 #: A backticked dotted name such as `repro.stats.ld.MomentTable`.
 _CODE_REFERENCE = re.compile(r"`(repro(?:\.\w+)+)`")
+#: The module of a command such as `python -m repro.lint`.
+_MODULE_COMMAND = re.compile(r"python3? -m (repro(?:\.\w+)*)")
 
 
 def _resolves(dotted: str) -> bool:
@@ -34,6 +37,14 @@ def _resolves(dotted: str) -> bool:
             target = getattr(target, attr)
         return True
     return False
+
+
+def _module_exists(name: str) -> bool:
+    """Whether ``python -m name`` would find a module to run."""
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ModuleNotFoundError:  # a parent package is missing
+        return False
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +108,23 @@ class TestCrossReferences:
             if not _resolves(name)
         ]
         assert not unresolved
+
+    def test_module_commands_name_real_modules(self):
+        """Every ``python -m repro...`` in the docs and CI can run."""
+        sources = [
+            ROOT / "README.md",
+            ROOT / "DESIGN.md",
+            ROOT / "EXPERIMENTS.md",
+            *sorted((ROOT / "docs").glob("*.md")),
+            ROOT / ".github" / "workflows" / "ci.yml",
+        ]
+        stale = [
+            f"{path.relative_to(ROOT)}: {name}"
+            for path in sources
+            for name in sorted(set(_MODULE_COMMAND.findall(path.read_text())))
+            if not _module_exists(name)
+        ]
+        assert not stale
 
     def test_protocol_doc_names_real_components(self):
         text = (ROOT / "docs" / "PROTOCOL.md").read_text()

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import FaultConfig
+from repro.config import CollusionPolicy, FaultConfig, StudyConfig
+from repro.core.protocol import GenDPRProtocol
 from repro.fuzz.corpus import CorpusPool
 from repro.fuzz.coverage import CoverageCollector
 from repro.fuzz.engine import FuzzEngine
@@ -133,6 +134,37 @@ def test_violation_recording_shrinks_and_dedupes(oracle):
     assert len(engine.violations) == 1
     report = engine.report()
     assert report["violations"] == engine.violations
+
+
+@pytest.mark.parametrize("field", ["release_power", "collusion"])
+def test_oracle_compares_every_decision_field(oracle, monkeypatch, field):
+    """A run that differs from its reference only in the release power,
+    or only in one combination's safe set, is a violation."""
+    config = StudyConfig(
+        snp_count=oracle.snp_count,
+        study_id=oracle.study_id,
+        seed=oracle.study_seed,
+        collusion=CollusionPolicy.static(1),
+    )
+    healthy = oracle.execute(config)
+    assert healthy.violation is None
+    result = healthy.result
+    if field == "release_power":
+        variant = dataclasses.replace(
+            result, release_power=result.release_power + 0.25
+        )
+    else:
+        outcomes = list(result.collusion.outcomes)
+        index = next(i for i, o in enumerate(outcomes) if o.safe_snps)
+        outcomes[index] = dataclasses.replace(
+            outcomes[index], safe_snps=outcomes[index].safe_snps[:-1]
+        )
+        variant = dataclasses.replace(
+            result,
+            collusion=dataclasses.replace(result.collusion, outcomes=outcomes),
+        )
+    monkeypatch.setattr(GenDPRProtocol, "run", lambda self: variant)
+    assert oracle.execute(config).violation == f"divergent_decisions:{field}"
 
 
 def test_seed_corpus_flags_counter_mismatches(oracle):

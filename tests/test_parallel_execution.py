@@ -2,9 +2,10 @@
 
 The concurrent OCALL fan-out must be a pure wall-clock optimisation:
 both execution modes produce bit-identical study *decisions* (retained
-sets, release power, per-combination safe sets).  These tests pin that
-contract, the batched Phase-3 round count, and the thread safety of the
-simulated network the fan-out relies on.
+sets, release power, per-combination safe sets) in the same OCALL
+rounds.  These tests pin that contract, the batched Phase-3 round
+count, and the thread safety of the simulated network the fan-out
+relies on.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import replace
 import pytest
 
 from repro import CollusionPolicy, StudyConfig, run_study
-from repro.bench.fig5 import study_decisions
 from repro.config import ExecutionConfig
 from repro.errors import ConfigError, NetworkError
+from repro.fuzz.oracle import study_decisions
 from repro.net import Envelope, SimulatedNetwork
 
 
@@ -72,6 +73,7 @@ class TestModeEquivalence:
         sequential = _run(small_cohort, members=members, f=f, mode="sequential")
         parallel = _run(small_cohort, members=members, f=f, mode="parallel")
         assert study_decisions(sequential) == study_decisions(parallel)
+        assert sequential.ocall_rounds == parallel.ocall_rounds
         assert parallel.execution_mode == "parallel"
         assert sequential.execution_mode == "sequential"
 
@@ -85,6 +87,7 @@ class TestModeEquivalence:
         narrow = run_study(small_cohort, config, num_members=3)
         wide = _run(small_cohort, members=3, f=0, mode="parallel")
         assert study_decisions(narrow) == study_decisions(wide)
+        assert narrow.ocall_rounds == wide.ocall_rounds
 
 
 class TestBatchedRounds:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro import StudyConfig, run_study
 from repro.core.pipeline import run_local_pipeline
+from repro.fuzz.oracle import study_decisions
 from repro.genomics import SyntheticSpec, generate_cohort
 from repro.serve import FederationService, ServiceConfig
 
@@ -90,10 +91,7 @@ def test_concurrent_service_equals_solo_property(shape):
         }
     for study_id, result in served.items():
         expected = solo[study_id]
-        assert result.l_prime == expected.l_prime
-        assert result.l_double_prime == expected.l_double_prime
-        assert result.l_safe == expected.l_safe
-        assert result.release_power == expected.release_power
+        assert study_decisions(result) == study_decisions(expected)
         assert result.leader_id == expected.leader_id
 
 

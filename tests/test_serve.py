@@ -16,6 +16,7 @@ from repro.errors import (
     StudyCancelledError,
     UnknownStudyError,
 )
+from repro.fuzz.oracle import study_decisions
 from repro.genomics import SyntheticSpec, generate_cohort
 from repro.serve import (
     CANCELLED,
@@ -37,16 +38,6 @@ def cohort():
 
 def study(study_id, *, seed=0, **overrides):
     return StudyConfig(snp_count=30, seed=seed, study_id=study_id, **overrides)
-
-
-def decisions(result):
-    return (
-        result.l_prime,
-        result.l_double_prime,
-        result.l_safe,
-        result.release_power,
-        result.leader_id,
-    )
 
 
 def _wait_until_running(service, study_id, attempts=500):
@@ -98,7 +89,8 @@ class TestLifecycle:
         assert status["status"] == DONE
         assert status["rounds"] > 0
         solo = run_study(cohort, study("svc-basic"), 3)
-        assert decisions(result) == decisions(solo)
+        assert study_decisions(result) == study_decisions(solo)
+        assert result.leader_id == solo.leader_id
 
     def test_per_request_run_report(self, cohort):
         with FederationService(ServiceConfig(pool_size=1, max_active=1)) as service:
@@ -124,7 +116,8 @@ class TestLifecycle:
         assert metrics["retired_slots"] == 0
         # Warm reuse must not change the verdict.
         solo = run_study(cohort, study("svc-warm-1", seed=1), 3)
-        assert decisions(result) == decisions(solo)
+        assert study_decisions(result) == study_decisions(solo)
+        assert result.leader_id == solo.leader_id
 
     def test_submit_validation(self, cohort):
         with FederationService(ServiceConfig(pool_size=1, max_active=1)) as service:
@@ -159,6 +152,40 @@ class TestLifecycle:
         assert service.status(queued)["status"] == CANCELLED
         with pytest.raises(ServiceError):
             service.submit(cohort, study("svc-late"))
+
+
+class TestAmortization:
+    """The warm pool pays provisioning once and decides as one-shot runs."""
+
+    STUDIES = 8
+
+    def test_warm_studies_match_one_shot_and_beat_cold_runs(self, cohort):
+        configs = [study(f"svc-amortize-{i}") for i in range(self.STUDIES)]
+        one_shot, cold_seconds = {}, []
+        for config in configs:
+            begin = time.perf_counter()
+            one_shot[config.study_id] = run_study(cohort, config, 3)
+            cold_seconds.append(time.perf_counter() - begin)
+        service_config = ServiceConfig(
+            pool_size=1, max_active=1, queue_limit=self.STUDIES
+        )
+        warm_seconds = []
+        with FederationService(service_config) as service:
+            for config in configs:
+                service.submit(cohort, config)
+            for config in configs:
+                result = service.result(config.study_id, timeout=120)
+                solo = one_shot[config.study_id]
+                assert study_decisions(result) == study_decisions(solo)
+                assert result.leader_id == solo.leader_id
+                assert result.ocall_rounds == solo.ocall_rounds
+                status = service.status(config.study_id)
+                if status["warm"]:
+                    warm_seconds.append(status["run_seconds"])
+        # One slot: every study after the first binds to a warm substrate.
+        assert len(warm_seconds) == self.STUDIES - 1
+        warm_mean = sum(warm_seconds) / len(warm_seconds)
+        assert warm_mean < sum(cold_seconds) / len(cold_seconds)
 
 
 class TestAdmissionControl:
@@ -218,7 +245,8 @@ class TestAdmissionControl:
         finally:
             service.close()
         solo = run_study(cohort, study("svc-mid-next", seed=3), 3)
-        assert decisions(result) == decisions(solo)
+        assert study_decisions(result) == study_decisions(solo)
+        assert result.leader_id == solo.leader_id
 
     def test_cancel_after_done_returns_false(self, cohort):
         with FederationService(ServiceConfig(pool_size=1, max_active=1)) as service:
@@ -262,7 +290,8 @@ class TestFailureIsolation:
         assert metrics["cold_provisions"] == 2
         assert metrics["completed"] == 1 and metrics["failed"] == 1
         solo = run_study(cohort, study("svc-after-crash"), 3)
-        assert decisions(result) == decisions(solo)
+        assert study_decisions(result) == study_decisions(solo)
+        assert result.leader_id == solo.leader_id
 
     def test_concurrent_sessions_match_solo(self, cohort):
         configs = [study(f"svc-conc-{i}", seed=i) for i in range(4)]
@@ -279,7 +308,8 @@ class TestFailureIsolation:
             }
             metrics = service.metrics()
         for study_id, result in served.items():
-            assert decisions(result) == decisions(solo[study_id])
+            assert study_decisions(result) == study_decisions(solo[study_id])
+            assert result.leader_id == solo[study_id].leader_id
         assert metrics["completed"] == 4
         assert metrics["rounds_admitted"] > 0
 

@@ -10,6 +10,8 @@ the same way sequential-vs-parallel equivalence is enforced.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.config import (
@@ -21,28 +23,10 @@ from repro.config import (
 from repro.core import enclave_logic
 from repro.core.protocol import run_study
 from repro.errors import ProtocolError
+from repro.fuzz.oracle import study_decisions
 
-SHARD_COUNTS = (1, 2, 4)
+SHARD_COUNTS = (1, 2, 4, 8)
 MEMBERS = 5
-
-
-def _decisions(result):
-    collusion = None
-    if result.collusion is not None:
-        collusion = {
-            "baseline_safe": list(result.collusion.baseline_safe),
-            "outcomes": sorted(
-                (list(o.member_ids), o.f, list(o.safe_snps))
-                for o in result.collusion.outcomes
-            ),
-        }
-    return {
-        "l_prime": list(result.l_prime),
-        "l_double_prime": list(result.l_double_prime),
-        "l_safe": list(result.l_safe),
-        "release_power": result.release_power,
-        "collusion": collusion,
-    }
 
 
 @pytest.fixture(scope="module", params=(0, 1), ids=("f0", "f1"))
@@ -66,9 +50,9 @@ def sharded_results(request, small_cohort):
 
 class TestDecisionEquivalence:
     def test_bit_identical_across_shard_counts(self, sharded_results):
-        baseline = _decisions(sharded_results[1])
+        baseline = study_decisions(sharded_results[1])
         for shards in SHARD_COUNTS[1:]:
-            assert _decisions(sharded_results[shards]) == baseline
+            assert study_decisions(sharded_results[shards]) == baseline
 
     def test_sharded_run_is_nontrivial(self, sharded_results):
         result = sharded_results[max(SHARD_COUNTS)]
@@ -115,10 +99,14 @@ class TestShardAccounting:
             )
             width = gauges["shard.max_width"]
             assert width == -(-small_cohort_snps(sharded_results) // shards)
-        assert peaks[4] < peaks[2]
+        assert peaks[2] > peaks[4] > peaks[8]
 
     def test_leader_fan_in_is_tree_arity(self, sharded_results):
-        """The root ingests ≤2 frames per shard task, never G-1."""
+        """The root ingests ≤2 frames per combine round, never G-1.
+
+        Counted on the trace: every ``shard`` frame sent to the leader,
+        grouped by the ``round`` span it was sent in.
+        """
         for shards in SHARD_COUNTS[1:]:
             result = sharded_results[shards]
             gauges = result.observability.metrics["gauges"]
@@ -127,6 +115,27 @@ class TestShardAccounting:
             # 5 members → depth-2 heap: the root's two children are the
             # only nodes that ever deliver to the leader.
             assert rounds == 2
+            fan_in = _leader_frames_per_round(result)
+            assert fan_in, "no shard frame reached the leader"
+            assert max(fan_in.values()) <= 2
+
+
+def _leader_frames_per_round(result) -> Counter:
+    """``shard`` frames received by the leader, per enclosing round span."""
+    spans = {span.span_id: span for span in result.observability.spans}
+    per_round: Counter = Counter()
+    for span in spans.values():
+        if not (
+            span.name == "net.send"
+            and span.attributes["tag"] == "shard"
+            and span.attributes["receiver"] == result.leader_id
+        ):
+            continue
+        parent = spans[span.parent_id]
+        while parent.name != "round":
+            parent = spans[parent.parent_id]
+        per_round[parent.span_id] += 1
+    return per_round
 
 
 def small_cohort_snps(results):
@@ -150,7 +159,7 @@ class TestLdOverflow:
         padded = run_study(small_cohort, config, MEMBERS)
         monkeypatch.setattr(enclave_logic, "_LD_PAD_PER_SNP", 1)
         squeezed = run_study(small_cohort, config, MEMBERS)
-        assert _decisions(squeezed) == _decisions(padded)
+        assert study_decisions(squeezed) == study_decisions(padded)
         counters = squeezed.observability.metrics["counters"]
         overflow = counters["enclave.ld_overflow_rounds"]
         planned = 1 if shards == 1 else 0

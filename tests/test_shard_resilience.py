@@ -39,6 +39,7 @@ from repro.core.federation import build_federation
 from repro.core.leader import elect_leader
 from repro.core.protocol import GenDPRProtocol
 from repro.errors import MemberUnresponsiveError, ReproError
+from repro.fuzz.oracle import study_decisions
 from repro.genomics import SyntheticSpec
 
 MEMBERS = 3
@@ -48,6 +49,12 @@ SNPS = 80
 SHARD_COUNTS = (2, 4)
 #: Seeded network-noise plans masked by combine-edge retries.
 NOISE_SEEDS = (31, 32, 33, 34)
+#: Ceiling on a masked noisy run's modeled time (``timings``) over its
+#: clean sharded twin's: re-shipped partials and re-run tasks cost
+#: compute, but masking the noise must never blow a run up by more than
+#: this factor.  The backoff itself advances only the simulated clock,
+#: which modeled time leaves out.
+FAULTED_OVERHEAD_BUDGET = 10.0
 
 #: Report records keyed by run label: re-execution within one session
 #: replaces the record, so the report never accumulates duplicates.
@@ -62,25 +69,6 @@ def _leader_id() -> str:
 
 def _members_without_leader():
     return [m for m in (f"gdo-{i}" for i in range(MEMBERS)) if m != _leader_id()]
-
-
-def _decisions(result):
-    collusion = None
-    if result.collusion is not None:
-        collusion = {
-            "baseline_safe": list(result.collusion.baseline_safe),
-            "outcomes": sorted(
-                (list(o.member_ids), o.f, list(o.safe_snps))
-                for o in result.collusion.outcomes
-            ),
-        }
-    return {
-        "l_prime": list(result.l_prime),
-        "l_double_prime": list(result.l_double_prime),
-        "l_safe": list(result.l_safe),
-        "release_power": result.release_power,
-        "collusion": collusion,
-    }
 
 
 def _config(shards: int, faults: FaultConfig, **overrides) -> StudyConfig:
@@ -113,7 +101,23 @@ def reference(shard_cohort):
     federation = build_federation(
         config, partition_cohort(shard_cohort, MEMBERS), shard_cohort
     )
-    return _decisions(GenDPRProtocol(federation).run())
+    return study_decisions(GenDPRProtocol(federation).run())
+
+
+@pytest.fixture(scope="module")
+def clean_sharded(shard_cohort):
+    """Fault-free, unsupervised sharded run per shard count: the twin
+    each supervised run is held against on the wire and in model time."""
+    runs = {}
+    for shards in SHARD_COUNTS:
+        config = _config(
+            shards, FaultConfig.off(), resilience=ResilienceConfig.off()
+        )
+        federation = build_federation(
+            config, partition_cohort(shard_cohort, MEMBERS), shard_cohort
+        )
+        runs[shards] = GenDPRProtocol(federation).run()
+    return runs
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -201,7 +205,7 @@ class TestMemberCrashRepair:
             f"member-crash:{plan_name}:s{shards}",
         )
         assert outcome == "completed"
-        assert _decisions(result) == reference
+        assert study_decisions(result) == reference
         # The crash fired, the member enclave was replaced, and the
         # repair left its trace in the report.
         assert federation.fault_injector.counters()["crashes"] == 1
@@ -258,7 +262,7 @@ class TestLeaderCrashMidShardPhase:
             shard_cohort, _config(shards, faults), f"leader-crash:s{shards}"
         )
         assert outcome == "completed"
-        assert _decisions(result) == reference
+        assert study_decisions(result) == reference
         assert federation.failovers >= 1
         # The supervisor's recovery work is visible in the report; the
         # per-task checkpoint trail let the re-run phase skip the first
@@ -275,7 +279,7 @@ class TestNoisyCombineEdges:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("seed", NOISE_SEEDS)
     def test_identical_or_classified(
-        self, shards, seed, shard_cohort, reference
+        self, shards, seed, shard_cohort, reference, clean_sharded
     ):
         faults = FaultConfig.chaos(seed, intensity=0.15)
         outcome, result, _federation = _run_and_record(
@@ -284,7 +288,11 @@ class TestNoisyCombineEdges:
             f"noise:{seed}:s{shards}",
         )
         if outcome == "completed":
-            assert _decisions(result) == reference
+            assert study_decisions(result) == reference
+            clean = clean_sharded[shards].timings.total_seconds
+            assert (
+                result.timings.total_seconds <= FAULTED_OVERHEAD_BUDGET * clean
+            )
 
     def test_noise_sweep_masked_at_least_once(self):
         """The sweep exercised the retry machinery, not just luck."""
@@ -326,7 +334,7 @@ class TestCombineEquivocation:
         # so a detection must have been recorded either way.
         assert monitor.detections >= 1
         if outcome == "completed":
-            assert _decisions(result) == reference
+            assert study_decisions(result) == reference
             quarantined = monitor.quarantined()
             assert any(r.member_id == target for r in quarantined)
             assert federation.member_restorations >= 1
@@ -354,7 +362,7 @@ class TestFaultFreeComposition:
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_matches_reference_with_zero_repairs(
-        self, shards, shard_cohort, reference
+        self, shards, shard_cohort, reference, clean_sharded
     ):
         outcome, result, federation = _run_and_record(
             shard_cohort,
@@ -362,7 +370,7 @@ class TestFaultFreeComposition:
             f"fault-free:s{shards}",
         )
         assert outcome == "completed"
-        assert _decisions(result) == reference
+        assert study_decisions(result) == reference
         assert federation.member_restorations == 0
         assert federation.failovers == 0
         meta = result.observability.meta["sharding"]
@@ -370,3 +378,8 @@ class TestFaultFreeComposition:
         counters = result.observability.metrics["counters"]
         assert counters.get("shard.repair.repairs", 0) == 0
         assert counters.get("shard.repair.tasks_rerun", 0) == 0
+        assert counters.get("shard.repair.level_retries", 0) == 0
+        # Supervision costs nothing on the wire until a fault fires.
+        twin = clean_sharded[shards]
+        assert result.network_bytes == twin.network_bytes
+        assert result.network_messages == twin.network_messages

@@ -19,6 +19,7 @@ from repro.errors import (
     ResilienceError,
     SealingError,
 )
+from repro.fuzz.oracle import study_decisions
 from repro.genomics import SyntheticSpec
 
 MEMBERS = 3
@@ -48,7 +49,7 @@ def reference(cohort, base_config):
     federation = build_federation(
         base_config, partition_cohort(cohort, MEMBERS), cohort
     )
-    return GenDPRProtocol(federation).run()
+    return study_decisions(GenDPRProtocol(federation).run())
 
 
 def _run(cohort, config):
@@ -59,14 +60,6 @@ def _run(cohort, config):
     return federation, result
 
 
-def _same_outcome(result, reference):
-    return (
-        result.l_prime == reference.l_prime
-        and result.l_double_prime == reference.l_double_prime
-        and result.l_safe == reference.l_safe
-    )
-
-
 class TestSupervisedHappyPath:
     def test_resilient_run_without_faults_is_identical(
         self, cohort, base_config, reference
@@ -75,7 +68,7 @@ class TestSupervisedHappyPath:
             base_config, resilience=ResilienceConfig.supervised()
         )
         federation, result = _run(cohort, config)
-        assert _same_outcome(result, reference)
+        assert study_decisions(result) == reference
         assert federation.failovers == 0
 
 
@@ -101,7 +94,7 @@ class TestLeaderFailover:
         federation, result = _run(cohort, config)
         assert federation.failovers == 1
         assert federation.fault_injector.counters()["crashes"] == 1
-        assert _same_outcome(result, reference)
+        assert study_decisions(result) == reference
 
     @pytest.mark.parametrize("ecall_index", [1, 2, 3, 6, 7, 9, 10])
     def test_crash_at_any_step_is_recovered(
@@ -116,7 +109,7 @@ class TestLeaderFailover:
         )
         federation, result = _run(cohort, config)
         assert federation.failovers == 1
-        assert _same_outcome(result, reference)
+        assert study_decisions(result) == reference
 
     def test_repeated_crashes_within_budget_are_absorbed(
         self, cohort, base_config, reference, leader_id
@@ -132,7 +125,7 @@ class TestLeaderFailover:
         )
         federation, result = _run(cohort, config)
         assert federation.failovers == 2
-        assert _same_outcome(result, reference)
+        assert study_decisions(result) == reference
 
     def test_failover_budget_aborts_classified(
         self, cohort, base_config, leader_id
@@ -236,7 +229,7 @@ class TestMemberEviction:
         )
         federation, result = _run(cohort, config)
         assert federation.fault_injector.counters()["partition_blocks"] >= 1
-        assert _same_outcome(result, reference)
+        assert study_decisions(result) == reference
 
 
 class TestByzantineCheckpointRestore:
@@ -289,7 +282,7 @@ class TestByzantineCheckpointRestore:
             config, partition_cohort(cohort, MEMBERS), cohort
         )
         result = GenDPRProtocol(federation).run()
-        assert _same_outcome(result, reference)
+        assert study_decisions(result) == reference
         counters = federation.integrity_monitor.counters()
         assert counters["stale_checkpoints_rejected"] == 1
         # The rejected rollback cost one failover; the clean restore
