@@ -85,14 +85,10 @@ def matrix_moment_source(
         for population in (case, reference):
             col_left = population[:, left].astype(np.int64)
             col_right = population[:, right].astype(np.int64)
-            mu_l = int(col_left.sum())
-            mu_r = int(col_right.sum())
             total = total + ld.PairMoments(
-                mu_l=mu_l,
-                mu_r=mu_r,
+                mu_l=int(col_left.sum()),
+                mu_r=int(col_right.sum()),
                 mu_lr=int((col_left & col_right).sum()),
-                mu_l2=mu_l,
-                mu_r2=mu_r,
                 count=population.shape[0],
             )
         return total

@@ -212,6 +212,14 @@ class AggregationTree:
                 kids.append(self.nodes[child])
         return tuple(kids)
 
+    def subtree(self, node: str) -> Tuple[str, ...]:
+        """``node`` and every node below it, in pre-order: ``node``
+        first, then each child's subtree in :meth:`children` order."""
+        order = [node]
+        for child in self.children(node):
+            order.extend(self.subtree(child))
+        return tuple(order)
+
     def levels(self) -> List[List[Tuple[str, str]]]:
         """Combine schedule: ``(child, parent)`` edges, deepest first.
 

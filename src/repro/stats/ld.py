@@ -1,12 +1,19 @@
 """Linkage disequilibrium from pooled correlation moments (Phase 2).
 
-The paper computes the r-squared correlation between a SNP pair from the
+The paper computes the r-squared correlation between a SNP pair from
 five sums each member outsources — mu_l, mu_r, mu_lr, mu_l2, mu_r2 —
 plus the pooled population size N_T.  These are ordinary second-moment
 sums, so the leader can add members' contributions and the reference
 set's and obtain exactly the statistics of the pooled population,
 without ever pooling genotypes.  That is the crux of GenDPR's Phase 2
 correction over the naive scheme.
+
+For the 0/1 genotypes this reproduction seals, ``x^2 == x``: mu_l2 and
+mu_r2 repeat mu_l and mu_r, and mu_l and mu_r are the SNPs' allele
+counts, which the leader pooled in Phase 1 already.  So the joint count
+mu_lr is the only per-pair sum that is computed, sent, pooled and
+stored, and the walk fills a :class:`PairMoments`' mu_l and mu_r from
+the pooled allele counts.
 
 Significance: under independence, ``N_T * r^2`` is asymptotically
 chi-squared with 1 dof; a p-value *below* the LD cut-off marks the pair
@@ -36,17 +43,16 @@ from ..errors import GenomicsError
 
 @dataclass(frozen=True)
 class PairMoments:
-    """The correlation sums exchanged for one SNP pair.
+    """The correlation sums of one SNP pair over 0/1 genotypes.
 
     All fields are plain sums over one population's individuals, so
     moments from disjoint populations combine by field-wise addition.
+    The squared sums equal ``mu_l`` and ``mu_r`` and are not stored.
     """
 
     mu_l: int
     mu_r: int
     mu_lr: int
-    mu_l2: int
-    mu_r2: int
     count: int
 
     def validate(self) -> "PairMoments":
@@ -59,7 +65,7 @@ class PairMoments:
         """
         if self.count < 0:
             raise GenomicsError("population count must be non-negative")
-        for name in ("mu_l", "mu_r", "mu_lr", "mu_l2", "mu_r2"):
+        for name in ("mu_l", "mu_r", "mu_lr"):
             value = getattr(self, name)
             if value < 0 or value > self.count:
                 raise GenomicsError(
@@ -72,14 +78,12 @@ class PairMoments:
             mu_l=self.mu_l + other.mu_l,
             mu_r=self.mu_r + other.mu_r,
             mu_lr=self.mu_lr + other.mu_lr,
-            mu_l2=self.mu_l2 + other.mu_l2,
-            mu_r2=self.mu_r2 + other.mu_r2,
             count=self.count + other.count,
         )
 
     @classmethod
     def zero(cls) -> "PairMoments":
-        return cls(0, 0, 0, 0, 0, 0)
+        return cls(0, 0, 0, 0)
 
     @classmethod
     def sum(cls, parts: Iterable["PairMoments"]) -> "PairMoments":
@@ -93,14 +97,15 @@ def r_squared(moments: PairMoments) -> float:
     """Pearson r^2 of a SNP pair from pooled moments.
 
     A pair involving a constant SNP (zero variance) has r^2 = 0: a fixed
-    column carries no linkage information.
+    column carries no linkage information.  The genotypes are 0/1, so
+    each squared sum is the linear one.
     """
     n = moments.count
     if n < 2:
         return 0.0
     covariance = n * moments.mu_lr - moments.mu_l * moments.mu_r
-    var_left = n * moments.mu_l2 - moments.mu_l**2
-    var_right = n * moments.mu_r2 - moments.mu_r**2
+    var_left = n * moments.mu_l - moments.mu_l**2
+    var_right = n * moments.mu_r - moments.mu_r**2
     if var_left <= 0 or var_right <= 0:
         return 0.0
     value = (covariance * covariance) / (var_left * var_right)
@@ -247,7 +252,7 @@ def reachable_pairs_scalar(snps: Sequence[int], ranking: np.ndarray) -> np.ndarr
 def pair_moments_kernel(
     words: np.ndarray, inverse: np.ndarray, *, batch: int = 4096
 ) -> np.ndarray:
-    """Three correlation sums per pair over bit-packed binary columns.
+    """The joint count ``mu_lr`` per pair over bit-packed binary columns.
 
     Args:
         words: ``W x K`` unsigned words, words on axis 0 and one column
@@ -261,10 +266,9 @@ def pair_moments_kernel(
         batch: pairs per transient slab, bounding the working set to
             ``W x batch`` words.
 
-    Returns ``P x 3`` int64 rows ``(mu_l, mu_r, mu_lr)``: the set bits
-    of the left column, of the right column and of their AND.  For
-    binary genotypes ``x^2 == x``, so the squared sums ``mu_l2`` and
-    ``mu_r2`` repeat ``mu_l`` and ``mu_r``.
+    Returns the ``(P,)`` int64 set-bit counts of each pair's AND.  The
+    other sums of a pair are allele counts (``mu_l``, ``mu_r``) or
+    repeat them (``mu_l2``, ``mu_r2``), and Phase 1 pooled those.
     """
     index = np.asarray(inverse, dtype=np.int64)
     if index.ndim != 2 or index.shape[1] != 2:
@@ -273,18 +277,15 @@ def pair_moments_kernel(
     if data.ndim != 2 or data.dtype.kind != "u":
         raise GenomicsError("packed genotypes must be a 2-D unsigned array")
     num_pairs = index.shape[0]
-    out = np.empty((num_pairs, 3), dtype=np.int64)
+    out = np.empty(num_pairs, dtype=np.int64)
     if num_pairs == 0:
         return out
     # Columns-first, so each pair's words are two contiguous row reads.
     columns = np.ascontiguousarray(data.T)
-    bit_counts = np.bitwise_count(columns).sum(axis=1, dtype=np.int64)
-    out[:, 0] = bit_counts[index[:, 0]]
-    out[:, 1] = bit_counts[index[:, 1]]
     for start in range(0, num_pairs, batch):
         stop = min(start + batch, num_pairs)
         joint = columns[index[start:stop, 0]] & columns[index[start:stop, 1]]
-        out[start:stop, 2] = np.bitwise_count(joint).sum(axis=1, dtype=np.int64)
+        out[start:stop] = np.bitwise_count(joint).sum(axis=1, dtype=np.int64)
     return out
 
 
@@ -293,16 +294,14 @@ def pair_moments_scalar(gathered: np.ndarray, inverse: np.ndarray) -> np.ndarray
     ``N x K`` 0/1 columns (test oracle)."""
     data = np.asarray(gathered)
     index = np.asarray(inverse, dtype=np.int64)
-    out = np.empty((index.shape[0], 3), dtype=np.int64)
+    out = np.empty(index.shape[0], dtype=np.int64)
     for row, (left_col, right_col) in enumerate(index.tolist()):
-        mu_l = mu_r = mu_lr = 0
+        mu_lr = 0
         for value_l, value_r in zip(
             data[:, left_col].tolist(), data[:, right_col].tolist()
         ):
-            mu_l += value_l
-            mu_r += value_r
             mu_lr += value_l & value_r
-        out[row] = (mu_l, mu_r, mu_lr)
+        out[row] = mu_lr
     return out
 
 
@@ -312,12 +311,12 @@ def pool_moments(membership: np.ndarray, stats: np.ndarray) -> np.ndarray:
     Args:
         membership: ``C x G`` 0/1 matrix; row ``c`` marks the parties
             combination ``c`` pools.
-        stats: ``G x ...`` per-party integer sums (``G x P x 3`` pair
-            moments, ``G x W`` allele counts).
+        stats: ``G x ...`` per-party integer sums (``G x P`` joint
+            counts, ``G x W`` allele counts).
 
     Returns the ``C x ...`` int64 pools, ``out[c] = sum_g
-    membership[c, g] * stats[g]`` — the ``(C x G) . (G x P x 3)``
-    step both the flat LD fetch and every shard leaf (``G = 1``) take.
+    membership[c, g] * stats[g]`` — the ``(C x G) . (G x P)`` step the
+    flat LD fetch and the shard tree's root both take.
     """
     weights = np.asarray(membership, dtype=np.int64)
     values = np.asarray(stats, dtype=np.int64)
@@ -366,24 +365,24 @@ def _first_seen(codes: np.ndarray) -> np.ndarray:
 
 
 class MomentTable:
-    """Pooled pair moments in dense blocks, one row per pair id.
+    """Pooled joint counts in dense blocks, one column per pair id.
 
-    ``case`` is the ``C x P x 3`` block of every combination's pooled
-    case-side ``(mu_l, mu_r, mu_lr)`` sums and ``reference`` the
-    ``P x 3`` reference sums, both indexed by the id :meth:`put` assigns
-    a pair (ids go to new pairs in first-seen order).  Genotypes are
-    binary, so the squared sums ``mu_l2`` and ``mu_r2`` repeat ``mu_l``
-    and ``mu_r`` and are not stored.  A pair is cached exactly when it
-    has an id: rows are written for every combination and the
-    reference at once, so nothing is ever partially cached.
+    ``case`` is the ``C x P`` block of every combination's pooled
+    case-side joint count ``mu_lr`` and ``reference`` the ``(P,)``
+    reference joint counts, both indexed by the id :meth:`put` assigns
+    a pair (ids go to new pairs in first-seen order).  A pair's other
+    sums are allele counts, which the leader pooled in Phase 1, so they
+    are not stored.  A pair is cached exactly when it has an id: every
+    combination's count and the reference's are written at once, so
+    nothing is ever partially cached.
     """
 
     def __init__(self, num_pools: int):
         #: :func:`pair_codes` code -> row id, for the walk's scalar reads.
         self._rows: Dict[int, int] = {}
         self.pairs = np.empty((0, 2), dtype=np.int64)
-        self.case = np.empty((num_pools, 0, 3), dtype=np.int64)
-        self.reference = np.empty((0, 3), dtype=np.int64)
+        self.case = np.empty((num_pools, 0), dtype=np.int64)
+        self.reference = np.empty(0, dtype=np.int64)
         self._sort_codes()
 
     def _sort_codes(self) -> None:
@@ -414,8 +413,8 @@ class MomentTable:
         return code_pairs(codes[self._row_ids(codes) < 0])
 
     def put(self, pairs: PairList, case: np.ndarray, reference: np.ndarray) -> None:
-        """Install ``C x len(pairs) x 3`` case and ``len(pairs) x 3``
-        reference rows; a pair that already has an id is overwritten."""
+        """Install ``C x len(pairs)`` case and ``(len(pairs),)`` reference
+        joint counts; a pair that already has an id is overwritten."""
         codes = pair_codes(pairs)
         index = self._row_ids(codes)
         fresh = _first_seen(codes[index < 0])
@@ -424,26 +423,26 @@ class MomentTable:
             self._rows.update(zip(fresh.tolist(), range(start, start + len(fresh))))
             self.pairs = np.concatenate((self.pairs, code_pairs(fresh)))
             self.case = np.concatenate(
-                (self.case, np.zeros((self.case.shape[0], len(fresh), 3), np.int64)),
+                (self.case, np.zeros((self.case.shape[0], len(fresh)), np.int64)),
                 axis=1,
             )
             self.reference = np.concatenate(
-                (self.reference, np.zeros((len(fresh), 3), dtype=np.int64))
+                (self.reference, np.zeros(len(fresh), dtype=np.int64))
             )
             self._sort_codes()
             index = self._row_ids(codes)
         self.case[:, index] = case
         self.reference[index] = reference
 
-    def pooled(self, pool: int, pair: Tuple[int, int]) -> List[int]:
-        """Pool ``pool``'s case sums plus the reference sums of ``pair``,
-        as ``[mu_l, mu_r, mu_lr]``."""
+    def pooled(self, pool: int, pair: Tuple[int, int]) -> int:
+        """``pool``'s case joint count plus the reference's, for ``pair``."""
         left, right = pair
         row = self._rows[left << 32 | right]
-        return (self.case[pool, row] + self.reference[row]).tolist()
+        return int(self.case[pool, row] + self.reference[row])
 
     def case_rows(self, pairs: PairList) -> Optional[np.ndarray]:
-        """``C x len(pairs) x 3`` case rows, or ``None`` if one is uncached."""
+        """``C x len(pairs)`` case joint counts, or ``None`` if one is
+        uncached."""
         index = self._row_ids(pair_codes(pairs))
         if (index < 0).any():
             return None

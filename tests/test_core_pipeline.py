@@ -23,9 +23,9 @@ class TestLdPrune:
             n = 10_000
             if (left, right) in dependent_pairs:
                 # Perfectly correlated columns with frequency 0.5.
-                return PairMoments(n // 2, n // 2, n // 2, n // 2, n // 2, n)
+                return PairMoments(n // 2, n // 2, n // 2, n)
             # Independent columns with frequency 0.5.
-            return PairMoments(n // 2, n // 2, n // 4, n // 2, n // 2, n)
+            return PairMoments(n // 2, n // 2, n // 4, n)
 
         return get_moments
 
@@ -58,7 +58,7 @@ class TestLdPrune:
 
         def get_moments(left, right, position):
             seen.append(position)
-            return PairMoments(0, 0, 0, 0, 0, 100)
+            return PairMoments(0, 0, 0, 100)
 
         ld_prune([10, 20, 30], np.zeros(31), get_moments, 1e-5)
         assert seen == [1, 2]

@@ -231,8 +231,8 @@ class TestCheckpointRestore:
         num_pairs = moments["pairs"].shape[0]
         assert num_pairs > 0
         # f0 plus the three 2-of-3 combinations, pooled at ingest.
-        assert moments["case"].shape == (4, num_pairs, 3)
-        assert moments["reference"].shape == (num_pairs, 3)
+        assert moments["case"].shape == (4, num_pairs)
+        assert moments["reference"].shape == (num_pairs,)
 
     def test_checkpoint_roundtrip_at_every_shard_task_boundary(
         self, small_cohort, study_config, monkeypatch

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import ResilienceConfig, ShardingConfig, StudyConfig
+from repro.core.enclave_logic import GenDPREnclave
 from repro.core.shard import (
     AggregationTree,
     aggregation_tree,
@@ -130,6 +131,81 @@ class TestAggregationTree:
         assert tree.depth == 0
         assert tree.levels() == []
         assert tree.children("solo") == ()
+
+
+def _determinant(matrix):
+    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    rows = [list(row) for row in matrix]
+    size = len(rows)
+    sign, previous = 1, 1
+    for k in range(size):
+        pivot = next((i for i in range(k, size) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // previous
+        previous = rows[k][k]
+    return sign * rows[-1][-1] if size else 1
+
+
+def _has_full_column_rank(membership):
+    """Whether the 0/1 ``C x k`` matrix has rank ``k``, exactly: its
+    Gram matrix is nonsingular."""
+    width = len(membership[0])
+    gram = [
+        [sum(row[a] * row[b] for row in membership) for b in range(width)]
+        for a in range(width)
+    ]
+    return _determinant(gram) != 0
+
+
+def _subtree_memberships(size, f):
+    """Every (tree, node) case over ``size`` members: the combination
+    rows restricted to the node's subtree, for every root and epoch."""
+    members = [f"m{i}" for i in range(size)]
+    combos = GenDPREnclave._build_combinations(members, [f])
+    for root in members:
+        for epoch in range(size):
+            tree = aggregation_tree(members, root, epoch=epoch)
+            for node in tree.nodes:
+                subtree = tree.subtree(node)
+                yield subtree, [
+                    [1 if member in pool else 0 for member in subtree]
+                    for _id, _f, pool in combos
+                ]
+
+
+class TestPartialRows:
+    """A tree partial at f >= 1 carries one row per member of its
+    sender's subtree.  That adds no trust: the combination rows a parent
+    received instead already determine every subtree member's sums."""
+
+    def test_subtree_is_preorder(self):
+        tree = aggregation_tree([f"m{i}" for i in range(7)], root="m3")
+        # Heap over (m3, m0, m1, m2, m4, m5, m6): m0 <- (m2, m4) and
+        # m1 <- (m5, m6) under the root m3.
+        assert tree.subtree("m3") == ("m3", "m0", "m2", "m4", "m1", "m5", "m6")
+        assert tree.subtree("m1") == ("m1", "m5", "m6")
+        assert tree.subtree("m2") == ("m2",)
+        assert sorted(tree.subtree(tree.root)) == sorted(tree.nodes)
+
+    @pytest.mark.parametrize("size", range(2, 9))
+    def test_combination_rows_determine_every_subtree_member(self, size):
+        cases = 0
+        for f in range(1, size):
+            for subtree, membership in _subtree_memberships(size, f):
+                assert _has_full_column_rank(membership), (size, f, subtree)
+                cases += 1
+        assert cases == (size - 1) * size**3
+
+    @pytest.mark.parametrize("size", range(2, 9))
+    def test_f0_pool_hides_the_members_of_a_subtree(self, size):
+        for subtree, membership in _subtree_memberships(size, 0):
+            assert _has_full_column_rank(membership) == (len(subtree) == 1)
 
 
 class TestShardingConfig:

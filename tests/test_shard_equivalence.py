@@ -22,6 +22,7 @@ from repro.config import (
 )
 from repro.core import enclave_logic
 from repro.core.protocol import run_study
+from repro.core.shard import aggregation_tree
 from repro.errors import ProtocolError
 from repro.fuzz.oracle import study_decisions
 
@@ -118,6 +119,57 @@ class TestShardAccounting:
             fan_in = _leader_frames_per_round(result)
             assert fan_in, "no shard frame reached the leader"
             assert max(fan_in.values()) <= 2
+
+
+@pytest.fixture(scope="module", params=(0, 1), ids=("f0", "f1"))
+def received_partials(request, small_cohort):
+    """Every shard partial a tree parent decoded in one S = 4 study:
+    ``(f, result, [(sender, stats shape, sizes shape), ...])``."""
+    f = request.param
+    frames = []
+    honest_open = enclave_logic.GenDPREnclave._open
+
+    def recording_open(self, peer, kind, frame):
+        payload = honest_open(self, peer, kind, frame)
+        if kind == "shard":
+            frames.append(
+                (peer, payload["stats"].shape, payload["counts"].shape)
+            )
+        return payload
+
+    config = StudyConfig(
+        snp_count=small_cohort.num_snps,
+        collusion=CollusionPolicy((f,)) if f else CollusionPolicy.none(),
+        seed=5,
+        study_id=f"shard-rows-f{f}",
+        sharding=ShardingConfig.over(4),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enclave_logic.GenDPREnclave, "_open", recording_open)
+        result = run_study(small_cohort, config, MEMBERS)
+    return f, result, frames
+
+
+class TestPartialFormat:
+    def test_rows_follow_the_sender_subtree_or_pool_it(self, received_partials):
+        """At f >= 1 a partial carries one row per member of its sender's
+        subtree; at f = 0 its one row is the subtree's pool."""
+        f, result, frames = received_partials
+        members = [f"gdo-{index}" for index in range(MEMBERS)]
+        tree = aggregation_tree(members, result.leader_id)
+        # Four counts tasks and at least one moments task, one frame per
+        # non-root member each.
+        assert len(frames) >= 5 * (MEMBERS - 1)
+        assert {sender for sender, _stats, _sizes in frames} == set(
+            tree.nodes[1:]
+        )
+        for sender, stats_shape, sizes_shape in frames:
+            rows = len(tree.subtree(sender)) if f else 1
+            assert stats_shape[0] == rows
+            assert sizes_shape == (rows,)
+        # Five members: the root's first child carries its subtree of
+        # three, every other sender only itself.
+        assert {shape[0] for _s, shape, _z in frames} == ({1, 3} if f else {1})
 
 
 def _leader_frames_per_round(result) -> Counter:

@@ -81,8 +81,8 @@ def _walks(draw, max_snps=40, universe=120):
 
 
 #: Pooled moments the walk reads as a dependent / an independent pair.
-_DEPENDENT = ld.PairMoments(50, 50, 50, 50, 50, count=100)
-_INDEPENDENT = ld.PairMoments(2, 2, 1, 2, 2, count=4)
+_DEPENDENT = ld.PairMoments(50, 50, 50, count=100)
+_INDEPENDENT = ld.PairMoments(2, 2, 1, count=4)
 
 
 class TestReachablePairs:
@@ -158,7 +158,7 @@ class TestPairMomentsKernel:
         )
         fast = ld.pair_moments_kernel(pack_columns(gathered), inverse)
         assert np.array_equal(fast, ld.pair_moments_scalar(gathered, inverse))
-        assert fast[40].tolist() == [rows, rows, rows]
+        assert fast[40] == rows
 
     def test_batching_does_not_change_results(self):
         rng = np.random.default_rng(13)
@@ -171,19 +171,19 @@ class TestPairMomentsKernel:
     def test_empty_pair_list(self):
         gathered = pack_columns(np.zeros((10, 4), dtype=np.int8))
         out = ld.pair_moments_kernel(gathered, np.empty((0, 2), dtype=np.int64))
-        assert out.shape == (0, 3)
+        assert out.shape == (0,)
 
     def test_moments_feed_identical_r_squared(self):
-        """Kernel rows and direct column correlation agree pairwise."""
+        """Kernel joint counts, with the columns' allele counts, and
+        direct column correlation agree pairwise."""
         rng = np.random.default_rng(11)
         gathered = _random_genotypes(rng, rows=150, cols=8)
         inverse = np.asarray([(0, 1), (2, 5), (3, 3)], dtype=np.int64)
-        rows = ld.pair_moments_kernel(pack_columns(gathered), inverse)
-        for (left, right), row in zip(inverse.tolist(), rows):
-            mu_l, mu_r, mu_lr = row.tolist()
-            # Binary genotypes: the squared sums repeat the linear ones.
+        joint = ld.pair_moments_kernel(pack_columns(gathered), inverse)
+        counts = gathered.sum(axis=0, dtype=np.int64).tolist()
+        for (left, right), mu_lr in zip(inverse.tolist(), joint.tolist()):
             moments = ld.PairMoments(
-                mu_l, mu_r, mu_lr, mu_l, mu_r, count=gathered.shape[0]
+                counts[left], counts[right], mu_lr, count=gathered.shape[0]
             )
             direct = ld.r_squared_direct(gathered[:, left], gathered[:, right])
             assert ld.r_squared(moments) == pytest.approx(direct, abs=1e-12)
@@ -273,7 +273,7 @@ class TestPoolMoments:
         )
 
     def test_single_leaf_is_the_membership_broadcast(self):
-        """G = 1 is the shard leaf: membership times the local sums."""
+        """G = 1: membership times the one party's sums."""
         rng = np.random.default_rng(5)
         membership = np.array([1, 0, 1, 1], dtype=np.int64)
         local = rng.integers(0, 90, size=(12, 3))
@@ -299,8 +299,8 @@ class TestPoolMoments:
 class TestMomentTable:
     def _table(self):
         table = ld.MomentTable(2)
-        case = np.arange(2 * 3 * 3).reshape(2, 3, 3)
-        reference = 100 + np.arange(3 * 3).reshape(3, 3)
+        case = np.arange(2 * 3).reshape(2, 3)
+        reference = 100 + np.arange(3)
         table.put([(1, 2), (1, 3), (2, 3)], case, reference)
         return table, case, reference
 
@@ -314,18 +314,19 @@ class TestMomentTable:
 
     def test_pooled_adds_case_and_reference_rows(self):
         table, case, reference = self._table()
-        assert table.pooled(1, (1, 3)) == (case[1, 1] + reference[1]).tolist()
+        assert table.pooled(1, (1, 3)) == case[1, 1] + reference[1]
+        assert type(table.pooled(1, (1, 3))) is int
 
     def test_put_overwrites_existing_and_appends_new(self):
         table, case, reference = self._table()
         table.put(
             [(2, 3), (4, 5)],
-            np.full((2, 2, 3), 7, dtype=np.int64),
-            np.zeros((2, 3), dtype=np.int64),
+            np.full((2, 2), 7, dtype=np.int64),
+            np.zeros(2, dtype=np.int64),
         )
         assert len(table.pairs) == 4
-        assert table.pooled(0, (2, 3)) == [7] * 3
-        assert table.pooled(1, (1, 2)) == (case[1, 0] + reference[0]).tolist()
+        assert table.pooled(0, (2, 3)) == 7
+        assert table.pooled(1, (1, 2)) == case[1, 0] + reference[0]
         assert np.array_equal(table.pairs[3], [4, 5])
 
     def test_case_rows_reads_a_block_or_reports_a_gap(self):
@@ -343,8 +344,8 @@ class TestMomentTable:
             np.array_equal(restored.state()[k], table.state()[k]) for k in state
         )
         assert np.array_equal(restored.missing([(1, 2), (2, 3), (5, 6)]), [(5, 6)])
-        restored.put([(1, 2)], np.zeros((2, 1, 3)), np.zeros((1, 3)))
-        assert restored.pooled(0, (1, 2)) == [0] * 3
+        restored.put([(1, 2)], np.zeros((2, 1)), np.zeros(1))
+        assert restored.pooled(0, (1, 2)) == 0
 
     _pairs = st.lists(
         st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=0, max_size=12
@@ -362,9 +363,9 @@ class TestMomentTable:
         ids = {}
         rows = {}
         for batch_index, batch in enumerate(batches):
-            case = np.arange(pools * len(batch) * 3).reshape(pools, len(batch), 3)
+            case = np.arange(pools * len(batch)).reshape(pools, len(batch))
             case = case + 1000 * (batch_index + 1)
-            reference = -np.arange(len(batch) * 3).reshape(len(batch), 3)
+            reference = -np.arange(len(batch))
             table.put(batch, case, reference)
             for position, pair in enumerate(batch):
                 ids.setdefault(pair, len(ids))
@@ -375,7 +376,7 @@ class TestMomentTable:
             for pair, (case_row, reference_row) in rows.items():
                 assert pair in candidate
                 for pool in range(pools):
-                    expected = (case_row[pool] + reference_row).tolist()
+                    expected = int(case_row[pool] + reference_row)
                     assert candidate.pooled(pool, pair) == expected
             uncached = [p for p in dict.fromkeys(query) if p not in ids]
             assert candidate.missing(query).tolist() == [list(p) for p in uncached]
@@ -385,7 +386,7 @@ class TestMomentTable:
                 assert block is None
             else:
                 expected = [rows[p][0] for p in query]
-                assert block.shape == (pools, len(query), 3)
+                assert block.shape == (pools, len(query))
                 assert all(
                     np.array_equal(block[:, i], row) for i, row in enumerate(expected)
                 )
