@@ -10,10 +10,16 @@ tolerance, and reports both exchanges:
 
 * per-pair (paper): one single-pair round per pooled lookup the walks
   made, which is the leader's ``ld_pairs_requested`` counter;
-* one padded round (measured): ``ld`` rounds, LD wire bytes and the
-  padded pair rows members computed.
+* one padded round (measured): ``ld`` rounds, LD wire bytes split
+  into the leader's requests and the members' answers, and the padded
+  pair rows members computed.
 
-Decisions must equal the pooled pipeline's.
+A request carries the walks and their stack depths (8 bytes per walk
+and walked SNP), from which members rebuild the pairs; an answer
+carries 4 bytes per padded pair row, 16 per walked SNP.  So requests
+must total at most half of the answers: explicit pair rows (8 bytes
+each) would make them twice the answers.  Decisions must equal the
+pooled pipeline's.
 """
 
 from __future__ import annotations
@@ -42,12 +48,20 @@ def _run(cohort, label: str, policy: CollusionPolicy):
     return run_study(cohort, config, num_members=MEMBERS)
 
 
-def _ld_bytes(result) -> int:
-    return sum(
-        span.attributes["wire_bytes"]
+def _ld_bytes(result):
+    """LD wire bytes as ``(leader requests, member answers)``."""
+    sent = [
+        span.attributes
         for span in result.observability.spans
         if span.name == "net.send" and span.attributes["tag"] == "ld"
+    ]
+    requests = sum(
+        s["wire_bytes"] for s in sent if s["sender"] == result.leader_id
     )
+    answers = sum(
+        s["wire_bytes"] for s in sent if s["sender"] != result.leader_id
+    )
+    return requests, answers
 
 
 def test_ablation_ld_batching(benchmark, save_result):
@@ -64,25 +78,41 @@ def test_ablation_ld_batching(benchmark, save_result):
         counters = result.observability.metrics["counters"]
         comparisons = counters["enclave.ld_pairs_requested"]
         rounds = result.ocall_rounds.get("ld", 0)
-        rows.append([label, "per-pair (paper)", comparisons, "-", comparisons])
+        requests, answers = _ld_bytes(result)
+        rows.append(
+            [label, "per-pair (paper)", comparisons, "-", "-", "-", comparisons]
+        )
         rows.append(
             [
                 label,
                 "one padded round",
                 rounds,
-                _ld_bytes(result),
+                requests + answers,
+                requests,
+                answers,
                 counters["enclave.ld_pairs_fetched"],
             ]
         )
         # One planned round, plus any a union beyond the bound took.
         assert rounds == 1 + counters["enclave.ld_overflow_rounds"]
         assert comparisons > rounds
+        # Walks and depths on the wire, not pair lists.
+        assert 2 * requests <= answers, (label, requests, answers)
     save_result(
         "ablation_ld",
         "Ablation: LD-phase exchange, per-pair rounds vs one padded round "
         f"({SNPS} SNPs, {MEMBERS} GDOs; decisions identical).\n"
         + render_table(
-            ["Policy", "Exchange", "LD rounds", "LD bytes", "Pairs sent"], rows
+            [
+                "Policy",
+                "Exchange",
+                "LD rounds",
+                "LD bytes",
+                "Requests",
+                "Answers",
+                "Pairs sent",
+            ],
+            rows,
         ),
     )
     pooled = run_local_pipeline(

@@ -44,7 +44,17 @@ from __future__ import annotations
 import hashlib
 import hmac
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -53,6 +63,7 @@ from ..crypto.signing import MacSigner
 from ..errors import (
     ChannelError,
     EquivocationError,
+    GenomicsError,
     PhaseOrderError,
     ProtocolError,
     StaleCheckpointError,
@@ -67,19 +78,26 @@ from ..tee.enclave import Enclave, ecall
 from ..tee.sealing import SealedBlob, seal, unseal
 from ..tee.storage import ColumnReader, SealedColumnStore, seal_matrix
 from . import pipeline
-from .shard import AggregationTree, ShardPlan, aggregation_tree, plan_shards
+from .shard import (
+    AggregationTree,
+    ShardPlan,
+    ShardRange,
+    aggregation_tree,
+    plan_shards,
+)
 
 #: Host-routed exchange: {peer_id: request_frame} -> {peer_id: response_frame}.
 OcallExchange = Callable[[str, Dict[str, bytes]], Dict[str, bytes]]
 
-#: Padded LD pairs per walked SNP.  One ``ld`` round carries exactly
-#: ``_LD_PAD_PER_SNP * max(|L'|, |L'_plain|)`` pairs (a moments shard
-#: task ``_LD_PAD_PER_SNP`` per walked SNP in its range), so the frame
-#: sizes depend on the published retained sets only, never on the
-#: private ranking that shapes the reachable pair set.  Measured maxima:
-#: 13.3 reachable pairs per L' SNP over 80 f=0 cohorts, and 14.65 per
-#: ``max(|L'|, |L'_plain|)`` for the f=1 union over 24 cohorts.  A
-#: larger union takes further padded rounds (``ld_overflow_rounds``).
+#: Padded LD pairs per walked SNP.  Members answer exactly
+#: ``_LD_PAD_PER_SNP * max(|L'|, |L'_plain|)`` pair rows per ``ld``
+#: round (a moments shard task ``_LD_PAD_PER_SNP`` per walked SNP in
+#: its range), so answer sizes depend on the published retained sets
+#: only, never on the private ranking that shapes the reachable pair
+#: set.  Measured maxima: 13.3 reachable pairs per L' SNP over 80 f=0
+#: cohorts, and 14.65 per ``max(|L'|, |L'_plain|)`` for the f=1 union
+#: over 24 cohorts.  A larger union takes further padded rounds
+#: (``ld_overflow_rounds``).  Read at call time on both sides.
 _LD_PAD_PER_SNP = 16
 
 _STAGES = ("prime", "double_prime", "safe")
@@ -104,6 +122,99 @@ def _padded(pairs: np.ndarray, bound: int) -> np.ndarray:
     return out
 
 
+class _LdLayout(NamedTuple):
+    """Where each pair an LD walk can reach is fetched.
+
+    ``buckets`` maps a shard index to its moments task's ``(padded
+    pairs, real pair count)``: the pairs whose right SNP it owns, at
+    most ``_LD_PAD_PER_SNP`` per SNP any walk has in its range, padded
+    to exactly that.  ``remainder`` holds the pairs no bucket holds
+    (every pair on the flat path), fetched by flat ``ld`` rounds of
+    :func:`_ld_round_bound` rows each.
+    """
+
+    buckets: Dict[int, Tuple[np.ndarray, int]]
+    remainder: np.ndarray
+
+
+def _ld_round_bound(message: Mapping[str, Any]) -> int:
+    """Pair rows per flat ``ld`` round: ``_LD_PAD_PER_SNP`` per SNP of
+    the walks' padded length ``m = max(|L'|, |L'_plain|)``, a public
+    length both sides read off the walk message."""
+    return _LD_PAD_PER_SNP * len(message["walks"][0])
+
+
+def _ld_layout(
+    walks: Sequence[np.ndarray],
+    depths: Sequence[np.ndarray],
+    ranges: Optional[Sequence[ShardRange]],
+) -> _LdLayout:
+    """The layout of every pair the walks over ``walks`` can reach.
+
+    The leader and every member derive it from the same walks and
+    stack depths (:func:`repro.stats.ld.pairs_from_depths`) and the
+    attested shard ranges (``None`` on the flat path), which do not
+    change with the repair epoch.  Raises :class:`GenomicsError` on
+    malformed depths.
+    """
+    codes = ld.union_codes(
+        [ld.pairs_from_depths(walk, depth) for walk, depth in zip(walks, depths)]
+    )
+    buckets: Dict[int, Tuple[np.ndarray, int]] = {}
+    if ranges is None:
+        return _LdLayout(buckets, ld.code_pairs(codes))
+    starts = np.asarray([r.start for r in ranges], dtype=np.int64)
+    stops = np.asarray([r.stop for r in ranges], dtype=np.int64)
+    in_range = np.max(
+        [np.searchsorted(w, stops) - np.searchsorted(w, starts) for w in walks],
+        axis=0,
+    )
+    owners = np.searchsorted(starts, codes & 0xFFFFFFFF, side="right") - 1
+    overflow = [codes[:0]]
+    for shard in ranges:
+        owned = codes[owners == shard.index]
+        shard_bound = _LD_PAD_PER_SNP * int(in_range[shard.index])
+        if len(owned):
+            real = ld.code_pairs(owned[:shard_bound])
+            buckets[shard.index] = (_padded(real, shard_bound), len(real))
+            overflow.append(owned[shard_bound:])
+    remainder = ld.code_pairs(np.sort(np.concatenate(overflow)))
+    return _LdLayout(buckets, remainder)
+
+
+def _joint_counts(
+    reader: ColumnReader, pairs: np.ndarray, meter: Any = None
+) -> np.ndarray:
+    """The joint count ``mu_lr`` of each ``(P, 2)`` pair row over the
+    reader's store, as a ``(P,)`` vector (rows match input).
+
+    The touched columns are marked in a table over the store's columns,
+    gathered once, bit-packed (one unseal per chunk), and every joint
+    count is a set-bit count.  With a ``meter``, the gathered words are
+    registered as a trusted buffer while the kernel runs.
+    """
+    pair_array = np.asarray(pairs, dtype=np.int64)
+    if pair_array.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64)
+    if pair_array.min() < 0 or pair_array.max() >= reader.num_cols:
+        raise ProtocolError("LD pairs reference unknown SNPs")
+    touched = np.zeros(reader.num_cols, dtype=bool)
+    touched[pair_array] = True
+    columns = np.flatnonzero(touched)
+    inverse = (np.cumsum(touched) - 1)[pair_array]
+    packed = reader.packed_columns(columns)
+    if meter is None:
+        return ld.pair_moments_kernel(packed, inverse)
+    # One moment gather is in flight per enclave at a time (ECALLs are
+    # synchronous), so a fixed name is unambiguous — and unlike an
+    # id()-derived name it is identical across replayed runs.
+    meter.register_buffer("ld-moments", packed.nbytes)
+    try:
+        return ld.pair_moments_kernel(packed, inverse)
+    finally:
+        meter.release_buffer("ld-moments")
+
+
 _INT32 = np.iinfo(np.int32)
 
 
@@ -113,6 +224,13 @@ def _wire_int32(values: Any, what: str) -> np.ndarray:
     if array.size and (array.min() < _INT32.min or array.max() > _INT32.max):
         raise ProtocolError(f"{what} overflow the int32 wire format")
     return array.astype(np.int32)
+
+
+def _zero_padded(values: Any, width: int, what: str) -> np.ndarray:
+    """``values`` as an int32 vector of ``width``, zeros after them."""
+    out = np.zeros(width, dtype=np.int32)
+    out[: len(values)] = _wire_int32(values, what)
+    return out
 
 
 def _check_joint(
@@ -144,7 +262,7 @@ def _received_int32(
     carries, so anything but the int32 array a sender narrowed with
     :func:`_wire_int32` is refused, never coerced.  ``shape`` is the
     expected length per axis, ``None`` where any length goes: SNP
-    vectors are ``(None,)``, pair lists ``(None, 2)``.
+    vectors are ``(None,)``, an ``ld`` answer ``(B,)``.
     """
     if not (
         isinstance(value, np.ndarray)
@@ -222,8 +340,13 @@ class GenDPREnclave(Enclave):
         #: Leader ledger of leaf commitments, keyed (kind, shard, node);
         #: the integrity layer's verification re-run compares against it.
         self._shard_commitments: Dict[Tuple[str, int, str], bytes] = {}
-        #: Padded LD pair bucket and its real-pair count per moments shard.
-        self._ld_shard_buckets: Optional[Dict[int, Tuple[np.ndarray, int]]] = None
+        #: Leader: the padded walks, stack depths and walk lengths every
+        #: LD request and moments shard task carries.
+        self._ld_walk_message: Optional[Dict[str, Any]] = None
+        #: The LD layout last derived from received walks and depths,
+        #: keyed by their bytes (a hardened member opens a moments task
+        #: per shard and verify run, all with the same walks).
+        self._ld_layout_cache: Optional[Tuple[bytes, _LdLayout]] = None
         self._shard_counters: Dict[str, int] = dict(_SHARD_COUNTER_ZERO)
         # Member-side record of leader broadcasts.
         self._received_retained: Dict[str, List[int]] = {}
@@ -307,6 +430,12 @@ class GenDPREnclave(Enclave):
             "_rollback_counter",
             "_shard_accum",
         }
+
+    def crash(self) -> None:
+        """Tear the enclave down; the derived LD layout goes with it."""
+        super().crash()
+        self._ld_walk_message = None
+        self._ld_layout_cache = None
 
     # ------------------------------------------------------------------
     # Framing helpers
@@ -427,7 +556,8 @@ class GenDPREnclave(Enclave):
         self._shard_moments_done = set()
         self._shard_epoch = 0
         self._shard_commitments = {}
-        self._ld_shard_buckets = None
+        self._ld_walk_message = None
+        self._ld_layout_cache = None
         self._shard_counters = dict(_SHARD_COUNTER_ZERO)
 
     @staticmethod
@@ -510,29 +640,10 @@ class GenDPREnclave(Enclave):
     def _local_moments(
         self, store: SealedColumnStore, pairs: np.ndarray
     ) -> np.ndarray:
-        """The joint count ``mu_lr`` of each ``(P, 2)`` pair row, as a
-        ``(P,)`` vector (rows match input).
-
-        Vectorised: the unique columns are gathered once, bit-packed,
-        through the sealed store (one unseal per chunk), then every
-        joint count is a set-bit count.
-        """
-        pair_array = np.asarray(pairs, dtype=np.int64)
-        if pair_array.shape[0] == 0:
-            return np.zeros(0, dtype=np.int64)
-        unique_columns, inverse = np.unique(pair_array, return_inverse=True)
-        inverse = inverse.reshape(pair_array.shape)
+        """The joint count ``mu_lr`` of each ``(P, 2)`` pair row over the
+        local store, as a ``(P,)`` vector (rows match input)."""
         with ColumnReader(self, store) as reader:
-            packed = reader.packed_columns(unique_columns)
-        # One moment gather is in flight per enclave at a time (ECALLs
-        # are synchronous), so a fixed name is unambiguous — and unlike
-        # an id()-derived name it is identical across replayed runs.
-        buffer_name = "ld-moments"
-        self.meter.register_buffer(buffer_name, packed.nbytes)
-        try:
-            return ld.pair_moments_kernel(packed, inverse)
-        finally:
-            self.meter.release_buffer(buffer_name)
+            return _joint_counts(reader, pairs, self.meter)
 
     # ------------------------------------------------------------------
     # Member-side ECALLs (answer leader requests)
@@ -568,12 +679,23 @@ class GenDPREnclave(Enclave):
 
     @ecall
     def answer_ld(self, store: SealedColumnStore, frame: bytes) -> bytes:
-        """Compute the local joint count of every requested pair row,
-        padding included, as a ``(B,)`` int32 vector."""
+        """Compute the local joint count of every pair row of one flat
+        ``ld`` round, padding included, as a ``(B,)`` int32 vector.
+
+        The request carries the walks and their stack depths, not the
+        pairs: the member rebuilds the layout the leader fetches by
+        (:meth:`_checked_ld_layout`) and answers the ``round``-th
+        ``bound`` rows of its remainder.
+        """
         leader = self._config()["leader_id"]
         request = self._open(leader, "ld", frame)
-        pair_array = _received_int32(request["pairs"], "LD pair request", (None, 2))
-        joint = self._local_moments(store, pair_array)
+        remainder = self._checked_ld_layout(request).remainder
+        bound = _ld_round_bound(request)
+        index = request.get("round")
+        if type(index) is not int or not 0 <= index * bound < len(remainder):
+            raise ProtocolError("LD request round is beyond the remainder")
+        real = remainder[index * bound : (index + 1) * bound]
+        joint = self._local_moments(store, _padded(real, bound))
         return self._protect(
             leader,
             "ld",
@@ -907,15 +1029,11 @@ class GenDPREnclave(Enclave):
             "shard": shard_index,
         }
         if spec["kind"] == "moments":
-            pair_array = _received_int32(
-                spec["pairs"], "shard pair list", (None, 2)
-            ).astype(np.int64)
-            snp_count = self._config()["snp_count"]
-            if pair_array.size and (
-                pair_array.min() < 0 or pair_array.max() >= snp_count
-            ):
-                raise ProtocolError("shard pair list references unknown SNPs")
-            normalized["pairs"] = pair_array
+            # The spec carries the walks; the bucket is rebuilt here.
+            bucket = self._checked_ld_layout(spec).buckets.get(shard_index)
+            if bucket is None:
+                raise ProtocolError("moments task for a shard that owns no LD pairs")
+            normalized["pairs"], normalized["real"] = bucket
         self._shard_tasks[normalized["task"]] = normalized
         self._shard_counters["tasks_accepted"] += 1
 
@@ -1096,42 +1214,6 @@ class GenDPREnclave(Enclave):
         self._shard_counters["partials_ingested"] += 1
         self._note_partial(held)
 
-    def _ld_shard_pair_buckets(self) -> Dict[int, Tuple[np.ndarray, int]]:
-        """The LD pair union bucketed by the shard owning each right SNP.
-
-        A shard's bound is ``_LD_PAD_PER_SNP`` times the most SNPs any
-        walked list has in its range, so it depends on the published
-        retained sets only.  Its bucket keeps at most that many pairs,
-        padded to exactly the bound; pairs beyond it are left to the
-        flat overflow round of ``lead_run_ld``.  Maps shard index to
-        ``(padded pairs, real pair count)``; a shard owning no pair is
-        absent.  Cached per study.
-        """
-        if self._ld_shard_buckets is None:
-            plan = self._shard_plan_required()
-            walks = self._ld_walks()
-            union = self._ld_pair_union(walks)
-            starts = np.asarray([r.start for r in plan.ranges], dtype=np.int64)
-            stops = np.asarray([r.stop for r in plan.ranges], dtype=np.int64)
-            in_range = np.max(
-                [np.searchsorted(w, stops) - np.searchsorted(w, starts) for w in walks],
-                axis=0,
-            )
-            owners = np.searchsorted(starts, union[:, 1], side="right") - 1
-            buckets: Dict[int, Tuple[np.ndarray, int]] = {}
-            for shard in plan.ranges:
-                bound = _LD_PAD_PER_SNP * int(in_range[shard.index])
-                real = union[owners == shard.index][:bound]
-                if len(real):
-                    buckets[shard.index] = (_padded(real, bound), len(real))
-            self._ld_shard_buckets = buckets
-        return self._ld_shard_buckets
-
-    def _real_shard_pairs(self, spec: Dict[str, Any]) -> np.ndarray:
-        """The real (unpadded) prefix of a moments task's pair list."""
-        _padded_pairs, real = self._ld_shard_pair_buckets()[int(spec["shard"])]
-        return spec["pairs"][:real]
-
     @ecall
     def lead_open_shard_task(
         self, kind: str, shard_index: int, ocall: OcallExchange
@@ -1139,7 +1221,9 @@ class GenDPREnclave(Enclave):
         """Open one shard task: broadcast its spec, install it locally.
 
         Returns the task id, or ``None`` when a moments shard owns no
-        pairs of the LD union (nothing to aggregate).
+        pairs of the LD union (nothing to aggregate).  A moments spec
+        carries the LD walks and their stack depths, from which every
+        enclave rebuilds the shard's padded pair bucket.
         """
         self._require_leader()
         plan = self._shard_plan_required()
@@ -1149,10 +1233,10 @@ class GenDPREnclave(Enclave):
             raise ProtocolError(f"shard index {shard_index} out of range")
         spec: Dict[str, Any] = {"kind": kind, "shard": int(shard_index)}
         if kind == "moments":
-            bucket = self._ld_shard_pair_buckets().get(int(shard_index))
-            if bucket is None:
+            message = self._ld_walks_message()
+            if int(shard_index) not in self._checked_ld_layout(message).buckets:
                 return None
-            spec["pairs"] = _wire_int32(bucket[0], "shard pair list")
+            spec.update(message)
         self._lr_request_counter += 1
         task_id = f"shard-{kind}-{shard_index}-{self._lr_request_counter}"
         spec["task"] = task_id
@@ -1221,11 +1305,11 @@ class GenDPREnclave(Enclave):
                 )
         else:
             self._check_pooled_joint(spec["pairs"], pooled)
-            pairs = self._real_shard_pairs(spec)
+            pairs = spec["pairs"][: spec["real"]]
             # The reference side is computed here, once per task, so
             # every installed pair has its complete table row.
             with ColumnReader(self, ref_store) as ref_reader:
-                reference = self._reference_moments(ref_reader, pairs)
+                reference = _joint_counts(ref_reader, pairs)
             self._moments.put(pairs, pooled[:, : len(pairs)], reference)
             self._ld_pairs_fetched += len(spec["pairs"])
             self._shard_moments_done.add(int(spec["shard"]))
@@ -1288,7 +1372,7 @@ class GenDPREnclave(Enclave):
             if all(c is not None for c in installed):
                 folded = np.stack([c[shard.start : shard.stop] for c in installed])
         else:
-            pairs = self._real_shard_pairs(spec)
+            pairs = spec["pairs"][: spec["real"]]
             folded = self._moments.case_rows(pairs)
             pooled = pooled[:, : len(pairs)]
         if (
@@ -1573,15 +1657,6 @@ class GenDPREnclave(Enclave):
 
     # -- Phase 2: LD -----------------------------------------------------------
 
-    def _reference_moments(
-        self, ref_reader: ColumnReader, pairs: np.ndarray
-    ) -> np.ndarray:
-        """The joint count of each pair row over the reference population."""
-        pair_array = np.asarray(pairs, dtype=np.int64)
-        unique_columns, inverse = np.unique(pair_array, return_inverse=True)
-        packed = ref_reader.packed_columns(unique_columns)
-        return ld.pair_moments_kernel(packed, inverse.reshape(pair_array.shape))
-
     def _ld_walks(self) -> List[List[int]]:
         """The SNP lists the LD walks traverse: the intersected ``L'``
         and, with collusion tolerance, the plain track's ``L'``."""
@@ -1592,48 +1667,108 @@ class GenDPREnclave(Enclave):
             walks.append(self._plain_retained["prime"])
         return walks
 
-    def _ld_pair_union(self, walks: List[List[int]]) -> np.ndarray:
-        """Distinct ``(P, 2)`` pairs any walk over ``walks`` can compare.
+    def _ld_walks_message(self) -> Dict[str, Any]:
+        """The walks, stack depths and walk lengths that every ``ld``
+        request and moments shard task carries (cached per study).
 
         Every walk breaks dependent pairs by the study's f0 ranking, so
-        the reachable sets are known before any moment is fetched.
+        the pairs it can reach are known before any moment is fetched,
+        and its stack depths (:func:`repro.stats.ld.reachable_depths`)
+        determine them.  Each walk and depth vector is padded to the
+        longest walk ``m``, so the message size depends on ``m`` and
+        the walk count only; the true lengths travel inside it.
         """
-        ranking = self._ranking("f0")
-        pairs = np.concatenate([ld.reachable_pairs(w, ranking) for w in walks])
-        # One int64 code per pair dedupes several times faster than
-        # np.unique(axis=0).
-        return ld.code_pairs(np.unique(ld.pair_codes(pairs)))
+        if self._ld_walk_message is None:
+            walks = self._ld_walks()
+            ranking = self._ranking("f0")
+            width = max(len(walk) for walk in walks)
+            self._ld_walk_message = {
+                "walks": [_zero_padded(w, width, "LD walk") for w in walks],
+                "depths": [
+                    _zero_padded(ld.reachable_depths(w, ranking), width, "LD depths")
+                    for w in walks
+                ],
+                "lengths": _wire_int32([len(w) for w in walks], "LD walk lengths"),
+            }
+        return self._ld_walk_message
+
+    def _checked_ld_layout(self, message: Mapping[str, Any]) -> _LdLayout:
+        """Check the walks and depths of an ``ld`` request or moments
+        spec and derive their layout, cached on their bytes.
+
+        Refused with :class:`ProtocolError`: a walk count other than the
+        attested policy's (1 at f = 0, 2 at f >= 1), vectors that are
+        not 1-D int32 of one padded length, lengths beyond it, a walk
+        that is not strictly ascending inside ``[0, snp_count)``, and
+        depths :func:`repro.stats.ld.pairs_from_depths` refuses.
+        """
+        expected = 2 if len(self._combos) > 1 else 1
+        walks, depths = message.get("walks"), message.get("depths")
+        if not (
+            isinstance(walks, list)
+            and isinstance(depths, list)
+            and len(walks) == len(depths) == expected
+        ):
+            raise ProtocolError("LD walk count differs from the attested policy")
+        lengths = _received_int32(
+            message.get("lengths"), "LD walk lengths", (expected,)
+        )
+        width = len(_received_int32(walks[0], "LD walk"))
+        walks = [_received_int32(walk, "LD walk", (width,)) for walk in walks]
+        depths = [_received_int32(depth, "LD depths", (width,)) for depth in depths]
+        key = b"".join(array.tobytes() for array in (lengths, *walks, *depths))
+        if self._ld_layout_cache is not None and self._ld_layout_cache[0] == key:
+            return self._ld_layout_cache[1]
+        if lengths.min() < 0 or lengths.max() > width:
+            raise ProtocolError("LD walk lengths exceed the padding")
+        snp_count = self._config()["snp_count"]
+        real_walks, real_depths = [], []
+        for walk, depth, length in zip(walks, depths, lengths.tolist()):
+            real = walk[:length].astype(np.int64)
+            if length and (
+                real[0] < 0 or real[-1] >= snp_count or bool((np.diff(real) <= 0).any())
+            ):
+                raise ProtocolError("LD walks must be ascending known SNPs")
+            real_walks.append(real)
+            real_depths.append(depth[: max(length - 1, 0)])
+        ranges = None if self._shard_plan is None else self._shard_plan.ranges
+        try:
+            layout = _ld_layout(real_walks, real_depths, ranges)
+        except GenomicsError:
+            raise ProtocolError("LD stack depths are malformed") from None
+        self._ld_layout_cache = (key, layout)
+        return layout
 
     def _fetch_moments(
         self,
-        pairs: np.ndarray,
-        bound: int,
+        layout: _LdLayout,
         store: SealedColumnStore,
         ref_reader: ColumnReader,
         ocall: OcallExchange,
     ) -> int:
-        """Fetch the joint counts of ``pairs`` in rounds of exactly ``bound``.
+        """Fetch the joint counts of the layout's remainder in rounds of
+        exactly :func:`_ld_round_bound` pair rows.
 
-        Each request carries ``bound`` pair rows as int32, the real
-        pairs padded with repeats of the first, and each member answers
-        every row.  The leader bounds each answer by that member's
-        allele counts, keeps the real prefix, and pools it with its own
-        counts into every combination by one membership product, so
-        per-member counts are never stored.  Returns the rounds sent.
+        Each request carries the walks and depths plus the round index;
+        each member rebuilds the round's pairs, padded with repeats of
+        the first, and answers every row.  The leader bounds each
+        answer by that member's allele counts, keeps the real prefix,
+        and pools it with its own counts into every combination by one
+        membership product, so per-member counts are never stored.
+        Returns the rounds sent.
         """
         members = self._other_members()
         parties = self._config()["member_ids"]
         membership = self._membership(parties)
+        message = self._ld_walks_message()
+        bound = _ld_round_bound(message)
         rounds = 0
-        for start in range(0, len(pairs), bound):
-            real = pairs[start : start + bound]
+        for start in range(0, len(layout.remainder), bound):
+            real = layout.remainder[start : start + bound]
             padded = _padded(real, bound)
             self._lr_request_counter += 1
             request_id = f"ld-{self._lr_request_counter}"
-            payload = {
-                "req_id": request_id,
-                "pairs": _wire_int32(padded, "LD pair request"),
-            }
+            payload = {"req_id": request_id, "round": rounds, **message}
             requests = {
                 member: self._protect(member, "ld", payload) for member in members
             }
@@ -1660,9 +1795,7 @@ class GenDPREnclave(Enclave):
             )
             pooled = ld.pool_moments(membership, per_party)
             self._check_pooled_joint(real, pooled)
-            self._moments.put(
-                real, pooled, self._reference_moments(ref_reader, real)
-            )
+            self._moments.put(real, pooled, _joint_counts(ref_reader, real))
             self._ld_pairs_fetched += bound
             rounds += 1
         return rounds
@@ -1717,20 +1850,19 @@ class GenDPREnclave(Enclave):
         pairs: one round on the flat path, none on the sharded path,
         whose moments tasks already installed the union.  A union too
         big for that (or for a shard bucket) takes overflow rounds,
-        counted in ``ld_overflow_rounds``.  The walks then only read
-        the moment table.
+        counted in ``ld_overflow_rounds``.  A restored leader holds all
+        of that remainder or none of it (checkpoints fall on task and
+        phase boundaries), so any gap refetches all of it.  The walks
+        then only read the moment table.
         """
         self._require_leader()
         walks = self._ld_walks()
         l_prime = walks[0]
         cutoff = self._config()["ld_cutoff"]
-        missing = self._moments.missing(self._ld_pair_union(walks))
-        if len(missing):
-            bound = _LD_PAD_PER_SNP * max(len(walk) for walk in walks)
+        layout = self._checked_ld_layout(self._ld_walks_message())
+        if len(layout.remainder) and self._moments.case_rows(layout.remainder) is None:
             with ColumnReader(self, ref_store) as ref_reader:
-                rounds = self._fetch_moments(
-                    missing, bound, store, ref_reader, ocall
-                )
+                rounds = self._fetch_moments(layout, store, ref_reader, ocall)
             planned = 1 if self._shard_plan is None else 0
             self._ld_overflow_rounds += rounds - planned
         survivor_sets = [
@@ -2023,7 +2155,7 @@ class GenDPREnclave(Enclave):
         ``ld_pairs_requested`` counts pooled pair-moment lookups across
         every combination's walk, which is also the number of rounds the
         paper's per-pair exchange would take.  ``ld_pairs_fetched``
-        counts the padded pair rows that crossed the wire, in flat LD
+        counts the padded pair rows members answered, in flat LD
         rounds and moments shard tasks alike, and
         ``ld_overflow_rounds`` the padded rounds a reachable pair union
         too big for its public bound took beyond the planned exchange.
@@ -2231,6 +2363,8 @@ class GenDPREnclave(Enclave):
         }
         self._release_power = float(state["release_power"])
         self._ranking_cache = {}
+        self._ld_walk_message = None
+        self._ld_layout_cache = None
         self._moments = ld.MomentTable.from_state(state["moments"])
         self._shard_counts_done = {int(s) for s in state["shard_counts_done"]}
         self._shard_moments_done = {int(s) for s in state["shard_moments_done"]}

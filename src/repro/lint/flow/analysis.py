@@ -530,8 +530,8 @@ class _FunctionAnalyzer:
         params = info.params
         argmap: Dict[int, Taint] = {}
         spill = EMPTY
-        offset = 1 if info.is_method else 0
-        if receiver and params:
+        offset = 1 if info.binds_receiver else 0
+        if offset and receiver and params:
             argmap[0] = receiver
         positional = arg_taints[site.arg_offset :]
         for position, taints in enumerate(positional):

@@ -59,6 +59,15 @@ class FunctionInfo:
     def is_method(self) -> bool:
         return self.class_name is not None
 
+    @property
+    def binds_receiver(self) -> bool:
+        """Whether a call through an instance or class passes it as the
+        first parameter: every method but a ``@staticmethod``."""
+        return self.is_method and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in self.node.decorator_list
+        )
+
 
 @dataclass
 class FunctionIndex:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -55,24 +54,6 @@ class PairMoments:
     mu_lr: int
     count: int
 
-    def validate(self) -> "PairMoments":
-        """Check internal consistency; call on untrusted inputs.
-
-        Validation is explicit rather than automatic because the LD walk
-        constructs millions of (trusted, already-valid) instances via
-        :meth:`__add__`; only moments parsed from peer messages need the
-        check.
-        """
-        if self.count < 0:
-            raise GenomicsError("population count must be non-negative")
-        for name in ("mu_l", "mu_r", "mu_lr"):
-            value = getattr(self, name)
-            if value < 0 or value > self.count:
-                raise GenomicsError(
-                    f"{name}={value} impossible for {self.count} binary genotypes"
-                )
-        return self
-
     def __add__(self, other: "PairMoments") -> "PairMoments":
         return PairMoments(
             mu_l=self.mu_l + other.mu_l,
@@ -84,13 +65,6 @@ class PairMoments:
     @classmethod
     def zero(cls) -> "PairMoments":
         return cls(0, 0, 0, 0)
-
-    @classmethod
-    def sum(cls, parts: Iterable["PairMoments"]) -> "PairMoments":
-        total = cls.zero()
-        for part in parts:
-            total = total + part
-        return total
 
 
 def r_squared(moments: PairMoments) -> float:
@@ -163,10 +137,10 @@ def window_pairs(snps: Sequence[int], window: int) -> np.ndarray:
 
     Returns the ``(P, 2)`` int64 array of pairs ``(snps[i], snps[j])``
     with ``i < j <= min(i + window, len(snps) - 1)``.  The LD exchange
-    fetches :func:`reachable_pairs` instead, which covers every pair
-    the walk can compare.  No study calls this kernel, but perfbench's
-    ledger wraps it by name, so it stays until the ledger wraps
-    :func:`reachable_pairs` instead.
+    fetches the reachable pairs instead (:func:`pairs_from_depths`),
+    which cover every pair the walk can compare.  No study calls this
+    kernel, but perfbench's ledger wraps it by name, so it stays until
+    the ledger wraps :func:`pairs_from_depths` instead.
     """
     if window < 1:
         raise GenomicsError("window must be at least 1")
@@ -198,8 +172,8 @@ def window_pairs_scalar(snps: Sequence[int], window: int) -> np.ndarray:
     return np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
 
 
-def reachable_pairs(snps: Sequence[int], ranking: np.ndarray) -> np.ndarray:
-    """Every ``(candidate, next)`` pair the greedy LD walk can compare.
+def reachable_depths(snps: Sequence[int], ranking: np.ndarray) -> np.ndarray:
+    """The greedy LD walk's candidate-stack depth before each position.
 
     :func:`repro.core.pipeline.ld_prune` walks ``snps`` comparing a
     running candidate with ``snps[p]``.  Whatever the dependence tests
@@ -207,33 +181,85 @@ def reachable_pairs(snps: Sequence[int], ranking: np.ndarray) -> np.ndarray:
     p-value is <= that of every ``snps[j]``, ``i < j < p``: it must have
     won each comparison since it was taken up, and ties go to the lower
     index as in :func:`repro.stats.chisq.most_ranked`.  Those positions
-    form a monotonic stack that pops only on a strictly greater p-value;
-    emitting ``(s, snps[p])`` for every ``s`` on the stack before
-    pushing ``snps[p]`` covers every path the walk can take.
+    form a monotonic stack that pops only on a strictly greater p-value,
+    and every position on it before ``p`` is a candidate for ``p``.
 
     Args:
         snps: the SNP list the walk traverses, in walk order.
         ranking: ranking p-values indexed by SNP.
 
-    Returns the ``(P, 2)`` int64 pairs, ordered by ``p`` and then by
-    candidate position.
+    Returns the ``(max(n - 1, 0),)`` int64 depths, one per position
+    ``p = 1 .. n - 1``: how many candidates ``snps[p]`` can meet.  The
+    first is 1, none is below 1, and each rises by at most one, since
+    every step pushes exactly one position.  With ``snps`` they
+    determine the pairs (:func:`pairs_from_depths`).
     """
-    items = np.asarray(list(snps), dtype=np.int64)
-    if items.size < 2:
-        return np.empty((0, 2), dtype=np.int64)
-    values = np.asarray(ranking)[items].tolist()
-    stack = [0]
-    lefts: List[int] = []
+    values = np.asarray(ranking)[np.asarray(snps, dtype=np.int64)].tolist()
+    stack = values[:1]
     depths: List[int] = []
-    for position in range(1, items.size):
-        lefts.extend(stack)
+    for value in values[1:]:
         depths.append(len(stack))
-        value = values[position]
-        while stack and values[stack[-1]] > value:
+        while stack and stack[-1] > value:
             stack.pop()
-        stack.append(position)
-    rights = np.repeat(np.arange(1, items.size, dtype=np.int64), depths)
-    return np.stack((items[np.asarray(lefts, dtype=np.int64)], items[rights]), axis=1)
+        stack.append(value)
+    return np.asarray(depths, dtype=np.int64)
+
+
+def pairs_from_depths(snps: Sequence[int], depths: Sequence[int]) -> np.ndarray:
+    """Every ``(candidate, next)`` pair of a walk, from its stack depths.
+
+    Position 0 is pushed at stack level 0 and position ``q``,
+    ``0 < q < n - 1``, at level ``depths[q] - 1`` (the depth before
+    ``q + 1`` counts ``q`` on top).  ``q`` stays a candidate up to and
+    including its *end*, the next position pushed at its level or
+    below (which pops it), or the last position.  Its parent (the last
+    position below it one level down) stays on the stack as long, so a
+    position's end is the least of its own and its ancestors' next
+    same-level positions: one sort of ``level * n + q``, one search for
+    the parents and ``log2(depth)`` doubling steps.
+
+    Raises :class:`GenomicsError` unless ``depths`` is a vector of
+    ``n - 1`` depths as :func:`reachable_depths` makes them: starting
+    at 1, never below 1, rising by at most one.
+
+    Returns the ``(P, 2)`` int64 pairs, sorted as ``(left, right)``
+    tuples (by candidate, then by the position it meets).
+    """
+    items = np.asarray(snps, dtype=np.int64)
+    depth = np.asarray(depths, dtype=np.int64)
+    n = items.size
+    if depth.ndim != 1 or depth.size != max(n - 1, 0):
+        raise GenomicsError("a walk of n SNPs has n - 1 stack depths")
+    if n < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    if depth[0] != 1 or depth.min() < 1 or bool((np.diff(depth) > 1).any()):
+        raise GenomicsError(
+            "stack depths start at 1, stay at least 1 and rise by at most 1"
+        )
+    positions = np.arange(n - 1, dtype=np.int64)
+    level = depth - 1
+    keys = level * n + positions
+    order = np.argsort(keys)
+    ends = np.full(n - 1, n - 1, dtype=np.int64)
+    same = level[order[1:]] == level[order[:-1]]
+    ends[order[:-1][same]] = order[1:][same]
+    parent = order[np.searchsorted(keys[order], keys - n) - 1]
+    parent = np.where(level > 0, parent, positions)
+    for _ in range(int(level.max()).bit_length()):
+        ends = np.minimum(ends, ends[parent])
+        parent = parent[parent]
+    counts = ends - positions
+    lefts = np.repeat(positions, counts)
+    offsets = np.arange(lefts.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.stack((items[lefts], items[lefts + 1 + offsets]), axis=1)
+
+
+def reachable_pairs(snps: Sequence[int], ranking: np.ndarray) -> np.ndarray:
+    """Every ``(candidate, next)`` pair the greedy LD walk can compare
+    (:func:`reachable_depths`), as a ``(P, 2)`` int64 array ordered by
+    ``p`` and then by candidate position."""
+    pairs = pairs_from_depths(snps, reachable_depths(snps, ranking))
+    return pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]
 
 
 def reachable_pairs_scalar(snps: Sequence[int], ranking: np.ndarray) -> np.ndarray:
@@ -356,6 +382,22 @@ def pair_codes(pairs: PairList) -> np.ndarray:
 def code_pairs(codes: np.ndarray) -> np.ndarray:
     """The ``(P, 2)`` int64 pairs of :func:`pair_codes`' codes."""
     return np.stack((codes >> 32, codes & 0xFFFFFFFF), axis=1)
+
+
+def union_codes(pair_arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The distinct :func:`pair_codes` of several ``(P, 2)`` arrays,
+    sorted (so in ``(left, right)`` tuple order).
+
+    One sort and a neighbour mask: for int64 codes ``np.unique`` takes a
+    hash path that is many times slower here.  The sort is stable (a
+    merge sort), which merges the already sorted runs
+    :func:`pairs_from_depths` gives in linear time.
+    """
+    codes = np.concatenate([pair_codes(p) for p in pair_arrays])
+    codes = np.sort(codes, kind="stable")
+    keep = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
 
 
 def _first_seen(codes: np.ndarray) -> np.ndarray:

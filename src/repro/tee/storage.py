@@ -251,7 +251,9 @@ class ColumnReader:
         if index_array.min() < 0 or index_array.max() >= self._store.num_cols:
             raise SealingError("column index out of range")
         chunk_ids = index_array // self._store.chunk_width
-        for chunk_index in np.unique(chunk_ids):
+        # A count per chunk finds the touched chunks, ascending, without
+        # np.unique's hash path.
+        for chunk_index in np.flatnonzero(np.bincount(chunk_ids)):
             chunk = self._load_chunk(int(chunk_index))
             mask = chunk_ids == chunk_index
             offsets = index_array[mask] - int(chunk_index) * self._store.chunk_width

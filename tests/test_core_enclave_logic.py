@@ -14,6 +14,8 @@ from repro.core import enclave_logic
 from repro.core.enclave_logic import GenDPREnclave
 from repro.core.federation import build_federation
 from repro.errors import PhaseOrderError, ProtocolError, TEEError
+from repro.stats import ld
+from repro.tee.storage import ColumnReader, seal_matrix
 
 _KEY = bytes(range(32))
 
@@ -145,9 +147,106 @@ class TestTrustedStateDeclaration:
         assert "_data_signer" in names
 
 
+def _walk_message():
+    """A well-formed f = 0 walk message: one walk of four SNPs, its
+    stack depths, both padded to four, and round 0."""
+    return {
+        "walks": [np.array([0, 2, 5, 9], dtype=np.int32)],
+        "depths": [np.array([1, 2, 2, 0], dtype=np.int32)],
+        "lengths": np.array([4], dtype=np.int32),
+        "round": 0,
+    }
+
+
+def _with(key, value):
+    return lambda message: dict(message, **{key: value})
+
+
+def _walk(values, dtype=np.int32):
+    return _with("walks", [np.array(values, dtype=dtype)])
+
+
+def _depths(values, dtype=np.int32):
+    return _with("depths", [np.array(values, dtype=dtype)])
+
+
+def _without(key):
+    return lambda message: {k: v for k, v in message.items() if k != key}
+
+
+#: One flaw per receive check of the LD walk message.
+_WALK_FLAWS = {
+    "two-walks-at-f0": lambda message: dict(
+        message,
+        walks=message["walks"] * 2,
+        depths=message["depths"] * 2,
+        lengths=np.array([4, 4], dtype=np.int32),
+    ),
+    "no-walks": lambda message: dict(
+        message, walks=[], depths=[], lengths=np.zeros(0, dtype=np.int32)
+    ),
+    "walks-missing": _without("walks"),
+    "walk-float64": _walk([0, 2, 5, 9], np.float64),
+    "walk-matrix": _with("walks", [np.array([[0, 2], [5, 9]], dtype=np.int32)]),
+    "walk-descending": _walk([9, 5, 2, 0]),
+    "walk-repeated-snp": _walk([0, 2, 2, 9]),
+    "walk-negative-snp": _walk([-1, 2, 5, 9]),
+    "walk-unknown-snp": _walk([0, 2, 5, 1 << 20]),
+    "depths-float64": _depths([1, 2, 2, 0], np.float64),
+    "depths-unpadded": _depths([1, 2, 2]),
+    "depths-first-not-one": _depths([2, 2, 2, 0]),
+    "depths-zero": _depths([1, 0, 1, 0]),
+    "depths-jump": _depths([1, 3, 2, 0]),
+    "depths-missing": _without("depths"),
+    "lengths-beyond-padding": _with("lengths", np.array([5], dtype=np.int32)),
+    "lengths-negative": _with("lengths", np.array([-1], dtype=np.int32)),
+    "lengths-float64": _with("lengths", np.array([4.0])),
+    "round-beyond-remainder": _with("round", 1),
+    "round-negative": _with("round", -1),
+    "round-not-an-int": _with("round", "0"),
+    "shard-without-pairs": _with("shard", 1),
+}
+
+
+class TestJointCounts:
+    """The one joint-count gather (a table of touched columns, no
+    ``np.unique``) answers what a ``np.unique`` gather answers."""
+
+    @staticmethod
+    def _unique_gather(reader, pairs):
+        columns, inverse = np.unique(pairs, return_inverse=True)
+        return ld.pair_moments_kernel(
+            reader.packed_columns(columns), inverse.reshape(pairs.shape)
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "num_pairs, num_cols", [(0, 30), (1, 1), (40, 1), (500, 70)]
+    )
+    def test_matches_a_unique_gather(self, seed, num_pairs, num_cols):
+        rng = np.random.default_rng(seed)
+        enclave = _enclave()
+        matrix = (rng.random((37, num_cols)) < 0.4).astype(np.uint8)
+        store = seal_matrix(enclave, matrix, "t", chunk_bytes=37 * 8)
+        # Few columns and many rows: every draw repeats pairs.
+        pairs = rng.integers(0, num_cols, size=(num_pairs, 2))
+        with ColumnReader(enclave, store) as reader:
+            joint = enclave_logic._joint_counts(reader, pairs)
+            assert np.array_equal(joint, self._unique_gather(reader, pairs))
+        assert joint.shape == (num_pairs,)
+
+    @pytest.mark.parametrize("bad", [-1, 30])
+    def test_unknown_columns_refused(self, bad):
+        enclave = _enclave()
+        store = seal_matrix(enclave, np.zeros((5, 30), dtype=np.uint8), "t")
+        with ColumnReader(enclave, store) as reader, pytest.raises(ProtocolError):
+            enclave_logic._joint_counts(reader, np.array([[0, bad]]))
+
+
 class TestMalformedSnpVectors:
-    """SNP lists arrive as 1-D int32 vectors, and LD pair lists as
-    (P, 2) int32 matrices, or not at all.
+    """SNP lists arrive as 1-D int32 vectors, and LD walks with their
+    stack depths as 1-D int32 vectors of one padded length, or not at
+    all.
 
     The frames below are authenticated by the leader's own channel, so
     they reach the codec intact, and the codec decodes any dtype and
@@ -180,31 +279,49 @@ class TestMalformedSnpVectors:
         with pytest.raises(ProtocolError, match="1-D int32 vector"):
             federation.enclaves[member].ecall(ecall, *args)
 
-    @pytest.mark.parametrize("ecall", ["answer_ld", "ingest_shard_task"])
     @pytest.mark.parametrize(
-        "pairs",
+        "ecall, flaw",
         [
-            np.array([[12.7, 30.9]]),
-            np.array([12, 30], dtype=np.int32),
+            pytest.param(ecall, flaw, id=f"{site}-{flaw}")
+            for ecall, site in (("answer_ld", "ld"), ("ingest_shard_task", "shard"))
+            for flaw in sorted(_WALK_FLAWS)
+            if not (site == "ld" and flaw == "shard-without-pairs")
+            and not (site == "shard" and flaw.startswith("round"))
         ],
-        ids=["float64-matrix", "int32-vector"],
     )
-    def test_pair_lists_refused(self, small_cohort, study_config, ecall, pairs):
-        config = dataclasses.replace(study_config, sharding=ShardingConfig.over(2))
+    def test_walks_refused(self, small_cohort, study_config, ecall, flaw):
+        """Both receive sites of the LD walks refuse every malformed
+        walk message with ProtocolError, after answering (or installing)
+        the well-formed one: wrong walk count, walks that are not
+        strictly ascending known SNPs, depths that no candidate stack
+        makes, lengths beyond the padding, a round beyond the
+        remainder, and a moments task for a shard owning no pairs."""
+        shards = 1 if ecall == "answer_ld" else 2
+        config = dataclasses.replace(
+            study_config, sharding=ShardingConfig.over(shards)
+        )
         federation = build_federation(
             config, partition_cohort(small_cohort, 3), small_cohort
         )
         leader = federation.enclaves[federation.leader_id]
         member = next(m for m in federation.member_ids if m != federation.leader_id)
-        if ecall == "answer_ld":
-            payload = {"req_id": "ld-1", "pairs": pairs}
-            store = federation.hosts[member].store
-            args = (store, leader._protect(member, "ld", payload))
-        else:
-            payload = {"task": "t-1", "kind": "moments", "shard": 0, "pairs": pairs}
-            args = (leader._protect(member, "shard-task", payload),)
-        with pytest.raises(ProtocolError, match=r"int32 array of shape \(None, 2\)"):
-            federation.enclaves[member].ecall(ecall, *args)
+        enclave = federation.enclaves[member]
+        store = federation.hosts[member].store
+
+        def deliver(payload):
+            if ecall == "answer_ld":
+                frame = leader._protect(member, "ld", dict(payload, req_id="ld-1"))
+                return enclave.ecall("answer_ld", store, frame)
+            spec = {k: v for k, v in payload.items() if k != "round"}
+            spec["task"] = f"t-{len(enclave._shard_tasks)}"
+            spec.setdefault("kind", "moments")
+            spec.setdefault("shard", 0)
+            frame = leader._protect(member, "shard-task", spec)
+            return enclave.ecall("ingest_shard_task", frame)
+
+        deliver(_walk_message())
+        with pytest.raises(ProtocolError):
+            deliver(_WALK_FLAWS[flaw](_walk_message()))
 
     @pytest.mark.parametrize(
         "label, shards",

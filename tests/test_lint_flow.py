@@ -148,6 +148,17 @@ class TestGoodFixture:
         assert "orphan" not in entry
 
 
+class TestStaticMethods:
+    """A ``@staticmethod`` called through ``self`` binds no receiver:
+    each argument's taint lands on the parameter it is passed to."""
+
+    def test_taint_lands_on_the_passed_parameter(self):
+        result = lint_tree("static")
+        # describe(col, "column") prints only its label: no finding at
+        # line 16; shout(col, "column") prints the genotype at line 21.
+        assert lines_by_file(result.findings, "R6") == {"enclave.py": {21}}
+
+
 class TestReportSchema:
     """Satellite: the JSON report carries the flow payloads."""
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import pipeline
+from repro.errors import GenomicsError
 from repro.stats import chisq, ld, lr_test
 from repro.tee.storage import pack_columns
 
@@ -127,6 +128,88 @@ class TestReachablePairs:
     def test_degenerate_walks(self, snps):
         assert ld.reachable_pairs(snps, np.zeros(10)).shape == (0, 2)
         assert ld.reachable_pairs_scalar(snps, np.zeros(10)).shape == (0, 2)
+
+
+@st.composite
+def _ranked_walks(draw, max_snps=80, universe=200):
+    """A sorted SNP list of 0-80 SNPs plus a ranking of tied integers or
+    of distinct floats."""
+    snps = sorted(
+        draw(
+            st.lists(
+                st.integers(0, universe - 1), max_size=max_snps, unique=True
+            )
+        )
+    )
+    if draw(st.booleans()):
+        values = draw(
+            st.lists(st.integers(0, 3), min_size=universe, max_size=universe)
+        )
+    else:
+        values = draw(
+            st.lists(
+                st.floats(0.0, 1.0),
+                min_size=universe,
+                max_size=universe,
+                unique=True,
+            )
+        )
+    return snps, np.asarray(values, dtype=np.float64)
+
+
+class TestStackDepths:
+    """The walk plus one stack depth per position rebuild exactly the
+    pairs the oracle enumerates, and malformed depths are refused."""
+
+    @given(walk=_ranked_walks())
+    @settings(max_examples=200, deadline=None)
+    def test_rebuild_from_depths_matches_the_oracle(self, walk):
+        snps, ranking = walk
+        depths = ld.reachable_depths(snps, ranking)
+        assert depths.shape == (max(len(snps) - 1, 0),)
+        rebuilt = ld.pairs_from_depths(snps, depths)
+        assert rebuilt.dtype == np.int64
+        oracle = ld.reachable_pairs_scalar(snps, ranking)
+        # The rebuild comes sorted as (left, right) tuples.
+        by_left = oracle[np.lexsort((oracle[:, 1], oracle[:, 0]))]
+        assert np.array_equal(rebuilt, by_left)
+
+    @given(walk=_ranked_walks(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_malformed_depths_raise(self, walk, data):
+        snps, ranking = walk
+        depths = ld.reachable_depths(snps, ranking)
+        flaws = ["short", "long"]
+        if len(depths):
+            flaws += ["first", "zero", "jump"]
+        flaw = data.draw(st.sampled_from(flaws))
+        position = data.draw(st.integers(0, max(len(depths) - 1, 0)))
+        bad = depths.copy()
+        if flaw == "short":
+            bad = depths[:-1] if len(depths) else np.ones(1, dtype=np.int64)
+        elif flaw == "long":
+            bad = np.append(depths, 1)
+        elif flaw == "first":
+            bad[0] = data.draw(st.sampled_from([0, 2, 3, -1]))
+        elif flaw == "zero":
+            bad[position] = 0
+        else:
+            bad[position] = (bad[position - 1] if position else 1) + 2
+        with pytest.raises(GenomicsError):
+            ld.pairs_from_depths(snps, bad)
+
+    def test_depths_of_the_stack_example(self):
+        ranking = np.array([0.5, 0.1, 0.3, 0.3, 0.05, 0.9])
+        assert ld.reachable_depths(range(6), ranking).tolist() == [1, 1, 2, 3, 1]
+
+
+class TestUnionCodes:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_unique_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.integers(0, 40, size=(n, 2)) for n in (0, 30, 200)]
+        union = ld.code_pairs(ld.union_codes(arrays))
+        assert np.array_equal(union, np.unique(np.concatenate(arrays), axis=0))
 
 
 class TestPairMomentsKernel:

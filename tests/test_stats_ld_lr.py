@@ -44,18 +44,6 @@ class TestPairMoments:
         total = a + b
         assert total == PairMoments(4, 3, 1, 15)
 
-    def test_sum(self):
-        parts = [PairMoments(1, 1, 1, 2)] * 3
-        assert PairMoments.sum(parts).count == 6
-        assert PairMoments.sum([]) == PairMoments.zero()
-
-    def test_validate(self):
-        PairMoments(1, 1, 1, 2).validate()
-        with pytest.raises(GenomicsError):
-            PairMoments(3, 1, 1, 2).validate()
-        with pytest.raises(GenomicsError):
-            PairMoments(0, 0, 0, -1).validate()
-
 
 class TestRSquared:
     def test_matches_direct_computation(self):
@@ -80,9 +68,8 @@ class TestRSquared:
             ((rng.random(60) < 0.3).astype(np.int64), (rng.random(60) < 0.5).astype(np.int64))
             for _ in range(3)
         ]
-        summed = PairMoments.sum(
-            _moments_from_columns(l, r) for l, r in pops
-        )
+        first, second, third = (_moments_from_columns(l, r) for l, r in pops)
+        summed = first + second + third
         pooled_left = np.concatenate([l for l, _ in pops])
         pooled_right = np.concatenate([r for _, r in pops])
         assert summed == _moments_from_columns(pooled_left, pooled_right)
