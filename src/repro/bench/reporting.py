@@ -77,7 +77,7 @@ def render_runtime_figure(rows: List[Dict[str, object]], caption: str) -> str:
         body.append(
             [name]
             + [_fmt_ms(row[label]) for label in ALL_LABELS]
-            + [_fmt_ms(row["total_ms"])]
+            + [_fmt_ms(row["model_ms"])]
         )
     return f"{caption}\n" + render_table(headers, body)
 
@@ -120,7 +120,7 @@ def render_collusion_table(rows: List[Dict[str, object]]) -> str:
             str(row["setting"]),
             f"{row['safe_with_tolerance']} ({float(row['safe_pct']):.1f}%)",
             f"{row['vulnerable']} ({float(row['vulnerable_pct']):.1f}%)",
-            _fmt_ms(row["total_ms"]),
+            _fmt_ms(row["model_ms"]),
             str(row["combinations"]),
         ]
         for row in rows

@@ -54,7 +54,7 @@ def gendpr_row(
         "maf": result.retained_after_maf,
         "ld": result.retained_after_ld,
         "lr": result.retained_after_lr,
-        "total_ms": result.timings.total_seconds * 1000.0,
+        "model_ms": result.timings.total_seconds * 1000.0,
         "network_bytes": result.network_bytes,
         "network_messages": result.network_messages,
         "release_power": result.release_power,
@@ -105,7 +105,7 @@ def centralized_row(
         "maf": result.retained_after_maf,
         "ld": result.retained_after_ld,
         "lr": result.retained_after_lr,
-        "total_ms": result.timings.total_seconds * 1000.0,
+        "model_ms": result.timings.total_seconds * 1000.0,
         "network_bytes": result.network_bytes,
         "network_messages": result.network_messages,
         "release_power": result.release_power,

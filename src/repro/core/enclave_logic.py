@@ -44,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import itertools
+import math
 from typing import (
     Any,
     Callable,
@@ -315,7 +316,7 @@ class GenDPREnclave(Enclave):
         self._release_power = 0.0
         self._lr_request_counter = 0
         # LD exchange accounting (observability only, not protocol
-        # state): pooled lookups by the walks, padded pairs members
+        # state): the walks' comparisons, padded pairs members
         # computed, and padded rounds beyond the planned exchange.
         self._ld_pairs_requested = 0
         self._ld_pairs_fetched = 0
@@ -1812,30 +1813,6 @@ class GenDPREnclave(Enclave):
             [self._combo_sizes[combo_id] for combo_id in combo_ids],
         )
 
-    def _combo_moments(
-        self,
-        combo_index: int,
-        pair: Tuple[int, int],
-        counts: List[int],
-        count: int,
-    ) -> ld.PairMoments:
-        """Pooled moments of a pair for one combination (case + reference).
-
-        ``counts`` are the combination's allele counts plus the
-        reference's, as Python ints, and ``count`` the pooled size: the
-        walk converts them once, and the table holds the joint counts.
-        """
-        if pair not in self._moments:
-            raise ProtocolError("LD walk reached a pair outside the fetched set")
-        self._ld_pairs_requested += 1
-        left, right = pair
-        return ld.PairMoments(
-            counts[left],
-            counts[right],
-            self._moments.pooled(combo_index, pair),
-            count,
-        )
-
     @ecall
     def lead_run_ld(
         self,
@@ -1852,8 +1829,9 @@ class GenDPREnclave(Enclave):
         big for that (or for a shard bucket) takes overflow rounds,
         counted in ``ld_overflow_rounds``.  A restored leader holds all
         of that remainder or none of it (checkpoints fall on task and
-        phase boundaries), so any gap refetches all of it.  The walks
-        then only read the moment table.
+        phase boundaries), so any gap refetches all of it.  One pass
+        over the complete table then gives every combination's
+        statistics (:meth:`_ld_statistics`), and the walks read those.
         """
         self._require_leader()
         walks = self._ld_walks()
@@ -1865,14 +1843,15 @@ class GenDPREnclave(Enclave):
                 rounds = self._fetch_moments(layout, store, ref_reader, ocall)
             planned = 1 if self._shard_plan is None else 0
             self._ld_overflow_rounds += rounds - planned
+        statistics = self._ld_statistics()
         survivor_sets = [
-            set(self._ld_greedy(combo_index, l_prime, cutoff))
+            set(self._ld_greedy(combo_index, l_prime, cutoff, statistics))
             for combo_index in range(len(self._combos))
         ]
         if len(self._combos) > 1:
             # Plain track: the f0 walk over the un-intersected list.
             self._plain_retained["double_prime"] = self._ld_greedy(
-                0, walks[1], cutoff
+                0, walks[1], cutoff, statistics
             )
         retained = sorted(set.intersection(*survivor_sets))
         self._retained["double_prime"] = retained
@@ -1880,15 +1859,47 @@ class GenDPREnclave(Enclave):
             self._plain_retained["double_prime"] = list(retained)
         return list(retained)
 
+    def _ld_pooled_counts(self, combo_index: int) -> Tuple[np.ndarray, int]:
+        """A combination's allele counts and size, each plus the
+        reference's."""
+        combo_id = self._combos[combo_index][0]
+        return (
+            self._combo_counts[combo_id] + self._reference_counts,
+            self._combo_sizes[combo_id] + self._reference_rows,
+        )
+
+    def _ld_statistics(self) -> np.ndarray:
+        """Every combination's ``N * r^2`` for every moment-table row,
+        ``C x P``.
+
+        One :func:`repro.stats.ld.ld_statistics` pass over the table;
+        rows it leaves NaN (operands at or above 2^53) are evaluated in
+        Python ints by the walk that first compares them.  Derived from
+        the table on every call, so never checkpointed.
+        """
+        pooled = [self._ld_pooled_counts(i) for i in range(len(self._combos))]
+        return ld.ld_statistics(
+            self._moments.case + self._moments.reference,
+            np.stack([counts for counts, _size in pooled]),
+            self._moments.pairs,
+            np.array([size for _counts, size in pooled], dtype=np.int64),
+        )
+
     def _ld_greedy(
-        self, combo_index: int, l_prime: List[int], cutoff: float
+        self,
+        combo_index: int,
+        l_prime: List[int],
+        cutoff: float,
+        statistics: np.ndarray,
     ) -> List[int]:
         """Run the shared LD walk for one combination.
 
         The decision logic is :func:`repro.core.pipeline.ld_prune` —
-        identical to the baselines'; only the moment *source* differs:
-        here it reads the leader's moment table, which ``lead_run_ld``
-        filled with every pair the walk can reach.
+        identical to the baselines'; only the statistic *source*
+        differs: here it reads ``statistics[combo_index]``, computed
+        over the leader's moment table, which ``lead_run_ld`` filled
+        with every pair the walk can reach.  A NaN row is evaluated
+        with :func:`repro.stats.ld.r_squared` and kept in its place.
         """
         # The chi-squared ranking that breaks dependent pairs is the
         # *study's* ranking (paper: getMostRanked(l, l+1, s)) — utility
@@ -1896,14 +1907,27 @@ class GenDPREnclave(Enclave):
         # federation, while the privacy decisions below remain
         # per-combination.
         ranking = self._ranking("f0")
-        combo_id = self._combos[combo_index][0]
-        counts = (self._combo_counts[combo_id] + self._reference_counts).tolist()
-        count = self._combo_sizes[combo_id] + self._reference_rows
+        # A memoryview reads Python floats straight from the array, and
+        # writes an evaluated NaN row back for the plain track's walk.
+        row_statistics = memoryview(statistics[combo_index])
+        table = self._moments
+        counts, size = self._ld_pooled_counts(combo_index)
 
-        def get_moments(left: int, right: int, _position: int) -> ld.PairMoments:
-            return self._combo_moments(combo_index, (left, right), counts, count)
+        def get_statistic(left: int, right: int, _position: int) -> float:
+            row = table.row_id(left, right)
+            if row < 0:
+                raise ProtocolError("LD walk reached a pair outside the fetched set")
+            self._ld_pairs_requested += 1
+            statistic = row_statistics[row]
+            if math.isnan(statistic):
+                joint = int(table.case[combo_index, row] + table.reference[row])
+                moments = ld.PairMoments(
+                    int(counts[left]), int(counts[right]), joint, size
+                )
+                statistic = row_statistics[row] = size * ld.r_squared(moments)
+            return statistic
 
-        return pipeline.ld_prune(l_prime, ranking, get_moments, cutoff)
+        return pipeline.ld_prune(l_prime, ranking, get_statistic, cutoff)
 
     # -- Phase 3: LR-test ------------------------------------------------------
 
@@ -2152,9 +2176,10 @@ class GenDPREnclave(Enclave):
     def lead_exchange_stats(self) -> Dict[str, int]:
         """LD exchange counters (for the observability bridge).
 
-        ``ld_pairs_requested`` counts pooled pair-moment lookups across
-        every combination's walk, which is also the number of rounds the
-        paper's per-pair exchange would take.  ``ld_pairs_fetched``
+        ``ld_pairs_requested`` counts the walks' comparisons, one per
+        pair a walk compares, over every combination's walk and the
+        plain track's, which is also the number of rounds the paper's
+        per-pair exchange would take.  ``ld_pairs_fetched``
         counts the padded pair rows members answered, in flat LD
         rounds and moments shard tasks alike, and
         ``ld_overflow_rounds`` the padded rounds a reachable pair union

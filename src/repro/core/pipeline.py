@@ -12,8 +12,9 @@ decision logic lives here once, as pure functions over aggregate
 values, and every deployment calls into it:
 
 * :func:`ld_prune` — the adjacent-pair greedy walk of Phase 2, taking a
-  caller-supplied moment source (the distributed leader fetches moments
-  over channels; the baselines compute them from matrices they hold).
+  caller-supplied statistic source (the distributed leader reads the
+  statistics it computed over its fetched moment table; the baselines
+  compute them from matrices they hold).
 * :func:`run_local_pipeline` — all three phases over genotype matrices
   held locally; the centralized baseline *is* this function inside one
   enclave, the naive baseline runs it per member, and the tests use it
@@ -27,17 +28,18 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from ..errors import ProtocolError
+from ..errors import GenomicsError, ProtocolError
 from ..stats import chisq, ld, lr_test, maf
 
-#: Moment source for the LD walk: (left, right, walk_position) -> moments.
-MomentSource = Callable[[int, int, int], ld.PairMoments]
+#: Statistic source for the LD walk: (left, right, walk_position) ->
+#: the pair's pooled ``N * r^2``.
+StatisticSource = Callable[[int, int, int], float]
 
 
 def ld_prune(
     retained: Sequence[int],
     ranking_pvalues: np.ndarray,
-    get_moments: MomentSource,
+    get_statistic: StatisticSource,
     ld_cutoff: float,
 ) -> List[int]:
     """Phase 2's greedy adjacent-pair walk (paper Algorithm 1, lines 26-55).
@@ -51,11 +53,13 @@ def ld_prune(
     Args:
         retained: the Phase 1 survivor list ``L'`` (ascending).
         ranking_pvalues: chi-squared ranking p-values indexed by SNP.
-        get_moments: pooled correlation moments for a pair; the third
-            argument is the walk position, which distributed callers use
-            for prefetching.
+        get_statistic: a pair's pooled ``N * r^2``, bit-identical to
+            ``moments.count * ld.r_squared(moments)`` over its pooled
+            moments; the third argument is the walk position.
         ld_cutoff: the dependence threshold on the r-squared p-value.
     """
+    if not 0.0 < ld_cutoff < 1.0:
+        raise GenomicsError("ld_cutoff must be in (0, 1)")
     snps = list(retained)
     if len(snps) <= 1:
         return snps
@@ -63,8 +67,8 @@ def ld_prune(
     candidate = snps[0]
     for position in range(1, len(snps)):
         nxt = snps[position]
-        moments = get_moments(candidate, nxt, position)
-        if ld.is_dependent(moments, ld_cutoff):
+        statistic = get_statistic(candidate, nxt, position)
+        if ld.chi2_sf_1df(statistic) < ld_cutoff:
             candidate = chisq.most_ranked(candidate, nxt, ranking_pvalues)
         else:
             kept.append(candidate)
@@ -75,12 +79,14 @@ def ld_prune(
 
 def matrix_moment_source(
     case_matrix: np.ndarray, reference_matrix: np.ndarray
-) -> MomentSource:
-    """Moment source over matrices held locally (baseline deployments)."""
+) -> StatisticSource:
+    """Statistic source over matrices held locally (baseline
+    deployments): each pair's pooled moments, then ``N * r^2`` in
+    Python ints, the scalar oracle of :func:`repro.stats.ld.ld_statistics`."""
     case = np.asarray(case_matrix)
     reference = np.asarray(reference_matrix)
 
-    def get_moments(left: int, right: int, _position: int) -> ld.PairMoments:
+    def get_statistic(left: int, right: int, _position: int) -> float:
         total = ld.PairMoments.zero()
         for population in (case, reference):
             col_left = population[:, left].astype(np.int64)
@@ -91,9 +97,9 @@ def matrix_moment_source(
                 mu_lr=int((col_left & col_right).sum()),
                 count=population.shape[0],
             )
-        return total
+        return total.count * ld.r_squared(total)
 
-    return get_moments
+    return get_statistic
 
 
 @dataclass(frozen=True)

@@ -157,14 +157,14 @@ class PhaseClock:
             try:
                 yield
             finally:
-                raw = time.perf_counter() - begin
-                elapsed = raw
+                wall = time.perf_counter() - begin
+                elapsed = wall
                 if accounting is not None:
                     elapsed -= accounting.parallel_saving - baseline_saving
                 elapsed = max(elapsed, 0.0)
                 self._timings.add(label, elapsed)
                 # The span's duration is the *corrected* phase time, so
-                # phase spans sum to the PhaseTimings totals; the raw
-                # wall time stays available as an attribute.
-                span.annotate(seconds=elapsed, raw_seconds=raw)
+                # phase spans sum to the PhaseTimings totals; the wall
+                # time stays available as an attribute.
+                span.annotate(seconds=elapsed, wall_seconds=wall)
                 span.set_duration_seconds(elapsed)

@@ -39,7 +39,7 @@ def record_timings(registry: MetricsRegistry, timings) -> None:
     """Feed :class:`~repro.core.timing.PhaseTimings` into phase gauges."""
     for label, seconds in timings.seconds_by_label.items():
         registry.gauge(f"phase.{metric_slug(label)}_ms").set(seconds * 1000.0)
-    registry.gauge("phase.total_ms").set(timings.total_seconds * 1000.0)
+    registry.gauge("phase.model_ms").set(timings.total_seconds * 1000.0)
 
 
 def record_network(registry: MetricsRegistry, network) -> None:
@@ -102,12 +102,12 @@ def record_rounds(registry: MetricsRegistry, accounting) -> None:
 def record_cache_stats(registry: MetricsRegistry, stats: Dict[str, int]) -> None:
     """Feed the leader enclave's LD exchange counters into metrics.
 
-    ``enclave.ld_pairs_requested`` counts the walks' pair-moment
-    lookups; ``enclave.ld_pairs_fetched`` counts padded pair rows, so
-    it covers every pair the walks can reach plus the padding to the
-    public bound; ``enclave.ld_overflow_rounds`` counts the padded
-    rounds a union too big for that bound took beyond the planned
-    exchange.
+    ``enclave.ld_pairs_requested`` counts the walks' comparisons, one
+    per compared pair; ``enclave.ld_pairs_fetched`` counts padded pair
+    rows, so it covers every pair the walks can reach plus the padding
+    to the public bound; ``enclave.ld_overflow_rounds`` counts the
+    padded rounds a union too big for that bound took beyond the
+    planned exchange.
     """
     for name in ("ld_pairs_requested", "ld_pairs_fetched", "ld_overflow_rounds"):
         registry.counter(f"enclave.{name}").inc(int(stats.get(name, 0)))

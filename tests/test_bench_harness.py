@@ -63,7 +63,7 @@ class TestRunners:
         row = gendpr_row(tiny_cohort, 200, 2)
         assert row["system"] == "GenDPR"
         assert row["maf"] >= row["ld"] >= row["lr"] >= 0
-        assert row["total_ms"] > 0
+        assert row["model_ms"] > 0
         assert row["network_bytes"] > 0
         for label in ALL_LABELS:
             assert row[label] >= 0

@@ -12,22 +12,27 @@ from repro.core.pipeline import (
     run_local_pipeline,
 )
 from repro.errors import ProtocolError
-from repro.stats.ld import PairMoments
+from repro.stats.ld import PairMoments, r_squared
+
+
+def _statistic(moments):
+    """A pair's ``N * r^2``, as the walk's statistic sources give it."""
+    return moments.count * r_squared(moments)
 
 
 class TestLdPrune:
     def _const_source(self, dependent_pairs):
-        """Moment source marking exactly ``dependent_pairs`` as dependent."""
+        """Statistic source marking exactly ``dependent_pairs`` as dependent."""
 
-        def get_moments(left, right, _position):
+        def get_statistic(left, right, _position):
             n = 10_000
             if (left, right) in dependent_pairs:
                 # Perfectly correlated columns with frequency 0.5.
-                return PairMoments(n // 2, n // 2, n // 2, n)
+                return _statistic(PairMoments(n // 2, n // 2, n // 2, n))
             # Independent columns with frequency 0.5.
-            return PairMoments(n // 2, n // 2, n // 4, n)
+            return _statistic(PairMoments(n // 2, n // 2, n // 4, n))
 
-        return get_moments
+        return get_statistic
 
     def test_all_independent_keeps_everything(self):
         ranking = np.zeros(10)
@@ -56,11 +61,11 @@ class TestLdPrune:
     def test_positions_passed_to_source(self):
         seen = []
 
-        def get_moments(left, right, position):
+        def get_statistic(left, right, position):
             seen.append(position)
-            return PairMoments(0, 0, 0, 100)
+            return _statistic(PairMoments(0, 0, 0, 100))
 
-        ld_prune([10, 20, 30], np.zeros(31), get_moments, 1e-5)
+        ld_prune([10, 20, 30], np.zeros(31), get_statistic, 1e-5)
         assert seen == [1, 2]
 
 
@@ -150,8 +155,11 @@ class TestRunLocalPipeline:
     def test_matrix_moment_source_pools_populations(self):
         case, reference = self._populations()
         source = matrix_moment_source(case, reference)
-        moments = source(3, 7, 0)
         pooled = np.vstack([case, reference]).astype(np.int64)
-        assert moments.count == pooled.shape[0]
-        assert moments.mu_l == pooled[:, 3].sum()
-        assert moments.mu_lr == (pooled[:, 3] & pooled[:, 7]).sum()
+        moments = PairMoments(
+            int(pooled[:, 3].sum()),
+            int(pooled[:, 7].sum()),
+            int((pooled[:, 3] & pooled[:, 7]).sum()),
+            pooled.shape[0],
+        )
+        assert source(3, 7, 0).hex() == _statistic(moments).hex()

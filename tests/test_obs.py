@@ -469,8 +469,8 @@ class TestTracedRun:
         metrics = result.observability.metrics
         assert metrics["counters"]["net.messages"] == result.network_messages
         assert metrics["counters"]["net.wire_bytes"] == result.network_bytes
-        total_ms = metrics["gauges"]["phase.total_ms"]
-        assert total_ms == pytest.approx(
+        model_ms = metrics["gauges"]["phase.model_ms"]
+        assert model_ms == pytest.approx(
             result.timings.total_seconds * 1000.0, rel=1e-6
         )
         for gdo, peak in result.enclave_peak_memory.items():
@@ -564,7 +564,7 @@ class TestCli:
         ) * 1000.0
         report = RunReport.load(report_path)
         assert phase_ms == pytest.approx(
-            report.metrics["gauges"]["phase.total_ms"], abs=1e-3
+            report.metrics["gauges"]["phase.model_ms"], abs=1e-3
         )
 
     def test_report_command(self, cohort_file, tmp_path, capsys):

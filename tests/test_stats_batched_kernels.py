@@ -82,8 +82,9 @@ def _walks(draw, max_snps=40, universe=120):
 
 
 #: Pooled moments the walk reads as a dependent / an independent pair.
-_DEPENDENT = ld.PairMoments(50, 50, 50, count=100)
-_INDEPENDENT = ld.PairMoments(2, 2, 1, count=4)
+#: ``N * r^2`` of a perfectly linked and of an unlinked pair.
+_DEPENDENT = 100 * ld.r_squared(ld.PairMoments(50, 50, 50, count=100))
+_INDEPENDENT = 4 * ld.r_squared(ld.PairMoments(2, 2, 1, count=4))
 
 
 class TestReachablePairs:
@@ -104,17 +105,17 @@ class TestReachablePairs:
     @settings(max_examples=200, deadline=None)
     def test_walk_only_asks_for_reachable_pairs(self, walk, seed, dependence):
         """Whatever the dependence tests decide, every pair the greedy
-        walk asks its moment source for was in the prefetched set."""
+        walk asks its statistic source for was in the prefetched set."""
         snps, ranking = walk
         reachable = {tuple(p) for p in ld.reachable_pairs(snps, ranking).tolist()}
         rng = np.random.default_rng(seed)
         asked = []
 
-        def get_moments(left, right, _position):
+        def get_statistic(left, right, _position):
             asked.append((left, right))
             return _DEPENDENT if rng.random() < dependence else _INDEPENDENT
 
-        pipeline.ld_prune(snps, ranking, get_moments, 1e-5)
+        pipeline.ld_prune(snps, ranking, get_statistic, 1e-5)
         assert len(asked) == max(len(snps) - 1, 0)
         assert set(asked) <= reachable
 
@@ -390,15 +391,16 @@ class TestMomentTable:
     def test_a_pair_is_cached_exactly_when_it_has_an_id(self):
         table, _case, _reference = self._table()
         assert len(table.pairs) == 3
-        assert (1, 3) in table and (3, 4) not in table
-        assert np.array_equal(
-            table.missing([(3, 4), (1, 2), (3, 4), (0, 9)]), [(3, 4), (0, 9)]
-        )
+        for pair, row in (((1, 3), 1), ((3, 4), -1), ((0, 9), -1)):
+            assert table.row_id(*pair) == row
+            assert (table.case_rows([pair]) is None) == (row < 0)
+        assert table.case_rows([(3, 4), (1, 2), (3, 4), (0, 9)]) is None
 
     def test_pooled_adds_case_and_reference_rows(self):
         table, case, reference = self._table()
-        assert table.pooled(1, (1, 3)) == case[1, 1] + reference[1]
-        assert type(table.pooled(1, (1, 3))) is int
+        pooled = table.case + table.reference
+        assert pooled[1, table.row_id(1, 3)] == case[1, 1] + reference[1]
+        assert pooled.dtype == np.int64
 
     def test_put_overwrites_existing_and_appends_new(self):
         table, case, reference = self._table()
@@ -408,8 +410,10 @@ class TestMomentTable:
             np.zeros(2, dtype=np.int64),
         )
         assert len(table.pairs) == 4
-        assert table.pooled(0, (2, 3)) == 7
-        assert table.pooled(1, (1, 2)) == case[1, 0] + reference[0]
+        assert table.case_rows([(2, 3)])[:, 0].tolist() == [7, 7]
+        assert table.reference[table.row_id(2, 3)] == 0
+        assert np.array_equal(table.case_rows([(1, 2)])[:, 0], case[:, 0])
+        assert table.reference[table.row_id(1, 2)] == reference[0]
         assert np.array_equal(table.pairs[3], [4, 5])
 
     def test_case_rows_reads_a_block_or_reports_a_gap(self):
@@ -426,9 +430,10 @@ class TestMomentTable:
         assert all(
             np.array_equal(restored.state()[k], table.state()[k]) for k in state
         )
-        assert np.array_equal(restored.missing([(1, 2), (2, 3), (5, 6)]), [(5, 6)])
+        assert [restored.row_id(*p) for p in [(1, 2), (2, 3), (5, 6)]] == [0, 2, -1]
         restored.put([(1, 2)], np.zeros((2, 1)), np.zeros(1))
-        assert restored.pooled(0, (1, 2)) == 0
+        assert not restored.case_rows([(1, 2)]).any()
+        assert restored.reference[0] == 0
 
     _pairs = st.lists(
         st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=0, max_size=12
@@ -439,8 +444,9 @@ class TestMomentTable:
     def test_matches_a_dict_of_tuples(self, batches, query):
         """Batched puts with repeats against a dict-of-tuples oracle:
         ids in first-seen order, a later put (or a later repeat in one
-        put) overwrites a pair's rows, ``case_rows`` is ``None`` when any
-        pair is uncached, and the state round-trips."""
+        put) overwrites a pair's rows, a pair is cached exactly when it
+        has an id, ``case_rows`` is ``None`` when any pair is uncached,
+        and the state round-trips."""
         pools = 2
         table = ld.MomentTable(pools)
         ids = {}
@@ -457,13 +463,13 @@ class TestMomentTable:
         for candidate in (table, ld.MomentTable.from_state(table.state())):
             assert candidate.pairs.tolist() == [list(p) for p in ids]
             for pair, (case_row, reference_row) in rows.items():
-                assert pair in candidate
-                for pool in range(pools):
-                    expected = int(case_row[pool] + reference_row)
-                    assert candidate.pooled(pool, pair) == expected
+                row = candidate.row_id(*pair)
+                assert row == ids[pair]
+                assert np.array_equal(candidate.case[:, row], case_row)
+                assert candidate.reference[row] == reference_row
             uncached = [p for p in dict.fromkeys(query) if p not in ids]
-            assert candidate.missing(query).tolist() == [list(p) for p in uncached]
-            assert all(pair not in candidate for pair in uncached)
+            assert all(candidate.row_id(*pair) == -1 for pair in uncached)
+            assert all(candidate.case_rows([pair]) is None for pair in uncached)
             block = candidate.case_rows(query)
             if uncached:
                 assert block is None
