@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.bench import (
+from repro.bench.reporting import render_table
+from repro.bench.workloads import (
     PAPER_CASE_FULL,
     PAPER_THRESHOLDS,
     paper_cohort,
     paper_config,
-    render_table,
 )
 from repro.config import CollusionPolicy, ObservabilityConfig
 from repro.core.pipeline import run_local_pipeline

@@ -14,9 +14,11 @@ import time
 
 import numpy as np
 
-from repro.bench import PAPER_CASE_FULL, paper_cohort, render_table
+from repro.bench.reporting import render_table
+from repro.bench.workloads import PAPER_CASE_FULL, paper_cohort
 from repro.core.pipeline import lr_ranking_order, run_local_pipeline
-from repro.stats import lr_matrix, rank_pvalues, select_safe_subset
+from repro.stats.chisq import rank_pvalues
+from repro.stats.lr_test import lr_matrix, select_safe_subset
 from repro.tee.oblivious import oblivious_prefix_selection
 
 SNPS = 2_000

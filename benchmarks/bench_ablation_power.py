@@ -16,14 +16,12 @@ import time
 
 import numpy as np
 
-from repro.bench import PAPER_CASE_FULL, paper_cohort, render_table
+from repro.bench.reporting import render_table
+from repro.bench.workloads import PAPER_CASE_FULL, paper_cohort
 from repro.core.pipeline import lr_ranking_order, run_local_pipeline
-from repro.stats import (
-    lr_matrix,
-    rank_pvalues,
-    select_safe_subset,
-    select_safe_subset_analytical,
-)
+from repro.stats.chisq import rank_pvalues
+from repro.stats.lr_test import lr_matrix, select_safe_subset
+from repro.stats.power import select_safe_subset_analytical
 
 SNPS = 5_000
 ALPHA, BETA = 0.1, 0.9

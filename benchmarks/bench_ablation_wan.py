@@ -11,18 +11,12 @@ research WAN (10 ms one-way latency, 100 MB/s).
 
 from __future__ import annotations
 
-from repro.bench import (
-    PAPER_CASE_FULL,
-    centralized_row,
-    gendpr_row,
-    paper_cohort,
-    render_table,
-)
-from repro.bench.workloads import PAPER_THRESHOLDS
+from repro.bench.reporting import render_table
+from repro.bench.workloads import PAPER_CASE_FULL, PAPER_THRESHOLDS, paper_cohort
 from repro.config import NetworkProfile, StudyConfig
 from repro.core.baseline import run_centralized_study
 from repro.core.protocol import run_study
-from repro.net import SimulatedNetwork
+from repro.net.network import SimulatedNetwork
 
 SNPS = 2_500
 LATENCY_S = 0.010

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import (
+from repro.bench.reporting import render_runtime_figure
+from repro.bench.runner import centralized_row, gendpr_row
+from repro.bench.workloads import (
     PAPER_CASE_FULL,
     PAPER_CASE_HALF,
     PAPER_GDO_COUNTS,
     bench_scale,
-    centralized_row,
-    gendpr_row,
     paper_cohort,
-    render_runtime_figure,
 )
 
 SNPS = 1_000

@@ -12,7 +12,8 @@ genomes × retained SNPs.
 
 from __future__ import annotations
 
-from repro.bench import paper_cohort, paper_config, render_table
+from repro.bench.reporting import render_table
+from repro.bench.workloads import paper_cohort, paper_config
 from repro.core.protocol import run_study
 
 SNPS = 2_000

@@ -12,13 +12,9 @@ CPU utilization, peak trusted memory, and actual network traffic.
 
 from __future__ import annotations
 
-from repro.bench import (
-    PAPER_CASE_FULL,
-    bench_scale,
-    gendpr_row,
-    paper_cohort,
-    render_resource_table,
-)
+from repro.bench.reporting import render_resource_table
+from repro.bench.runner import gendpr_row
+from repro.bench.workloads import PAPER_CASE_FULL, bench_scale, paper_cohort
 
 CONFIGS = [(gdos, snps) for gdos in (2, 3, 5, 7) for snps in (1_000, 10_000)]
 

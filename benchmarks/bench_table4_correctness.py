@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import (
+from repro.bench.reporting import render_selection_table
+from repro.bench.runner import centralized_row, gendpr_row, naive_row
+from repro.bench.workloads import (
     PAPER_CASE_FULL,
     PAPER_CASE_HALF,
     bench_scale,
-    centralized_row,
-    gendpr_row,
-    naive_row,
     paper_cohort,
-    render_selection_table,
 )
 
 SNP_COUNTS = (1_000, 2_500, 5_000, 10_000)

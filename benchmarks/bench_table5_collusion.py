@@ -16,13 +16,9 @@ set, and the conservative mode evaluates the most combinations.
 
 from __future__ import annotations
 
-from repro.bench import (
-    PAPER_CASE_FULL,
-    bench_scale,
-    collusion_row,
-    paper_cohort,
-    render_collusion_table,
-)
+from repro.bench.reporting import render_collusion_table
+from repro.bench.runner import collusion_row
+from repro.bench.workloads import PAPER_CASE_FULL, bench_scale, paper_cohort
 
 SNPS = 10_000
 

@@ -17,9 +17,12 @@ Run:  python examples/baseline_comparison.py
 
 from __future__ import annotations
 
-from repro import StudyConfig, SyntheticSpec, generate_cohort, partition_cohort, run_study
+from repro.config import StudyConfig
 from repro.core.baseline import run_centralized_study
 from repro.core.naive import run_naive_study
+from repro.core.protocol import run_study
+from repro.genomics.partition import partition_cohort
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
 
 NUM_SNPS = 600
 NUM_MEMBERS = 3

@@ -17,15 +17,11 @@ Run:  python examples/collusion_tolerance.py
 
 from __future__ import annotations
 
-from repro import (
-    CollusionPolicy,
-    StudyConfig,
-    SyntheticSpec,
-    generate_cohort,
-    partition_cohort,
-    run_study,
-)
-from repro.attacks import LrAttack, collusion_adjusted_frequencies
+from repro.attacks.membership import LrAttack, collusion_adjusted_frequencies
+from repro.config import CollusionPolicy, StudyConfig
+from repro.core.protocol import run_study
+from repro.genomics.partition import partition_cohort
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
 
 NUM_MEMBERS = 4
 NUM_SNPS = 600

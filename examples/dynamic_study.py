@@ -13,9 +13,10 @@ Run:  python examples/dynamic_study.py
 
 from __future__ import annotations
 
-from repro import StudyConfig, SyntheticSpec, generate_cohort
+from repro.config import StudyConfig
 from repro.core.dynamic import DynamicStudy
-from repro.genomics import GenotypeMatrix
+from repro.genomics.genotype import GenotypeMatrix
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
 
 NUM_SNPS = 400
 LABS = ["lab-boston", "lab-lyon", "lab-osaka"]

@@ -20,19 +20,16 @@ Run:  python examples/federated_gwas_release.py
 
 from __future__ import annotations
 
-from repro import (
-    StudyConfig,
-    SyntheticSpec,
-    build_release,
-    generate_cohort,
-    hybrid_release,
-    partition_cohort,
-)
+from repro.config import StudyConfig
 from repro.core.audit import audit_federation, genome_egress_savings
 from repro.core.dp import epsilon_for_frequency_error
 from repro.core.federation import build_federation
 from repro.core.protocol import GenDPRProtocol
-from repro.stats import pearson_chi_square, utility_report
+from repro.core.release import build_release, hybrid_release
+from repro.genomics.partition import partition_cohort
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
+from repro.stats.chisq import pearson_chi_square
+from repro.stats.utility import utility_report
 
 NUM_BIOCENTERS = 5
 NUM_SNPS = 1_000

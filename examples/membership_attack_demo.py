@@ -17,8 +17,11 @@ Run:  python examples/membership_attack_demo.py
 
 from __future__ import annotations
 
-from repro import PrivacyThresholds, StudyConfig, SyntheticSpec, generate_cohort, run_study
-from repro.attacks import HomerAttack, LrAttack, evaluate_attack
+from repro.attacks.evaluation import evaluate_attack
+from repro.attacks.membership import HomerAttack, LrAttack
+from repro.config import PrivacyThresholds, StudyConfig
+from repro.core.protocol import run_study
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
 
 NUM_SNPS = 500
 

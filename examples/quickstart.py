@@ -11,7 +11,9 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import StudyConfig, SyntheticSpec, generate_cohort, run_study
+from repro.config import StudyConfig
+from repro.core.protocol import run_study
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
 
 
 def main() -> None:

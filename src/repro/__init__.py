@@ -34,68 +34,51 @@ enclaves attested and warm between requests::
         result = service.result(study_id, timeout=120)
 """
 
-from .config import (
-    CollusionPolicy,
-    FaultConfig,
-    IntegrityConfig,
-    NetworkProfile,
-    ObservabilityConfig,
-    PrivacyThresholds,
-    ResilienceConfig,
-    StudyConfig,
-)
-from .core import (
-    GenDPRProtocol,
-    GwasRelease,
-    StudyResult,
-    build_federation,
-    build_release,
-    hybrid_release,
-    run_centralized_study,
-    run_naive_study,
-    run_study,
-)
-from .errors import ReproError
-from .genomics import (
-    Cohort,
-    GenotypeMatrix,
-    SnpPanel,
-    SyntheticSpec,
-    generate_cohort,
-    partition_cohort,
-)
-from .obs import RunReport
-from .serve import FederationService, ServiceConfig
+import importlib
+from typing import Any
 
 __version__ = "1.3.0"
 
-__all__ = [
-    "CollusionPolicy",
-    "FaultConfig",
-    "IntegrityConfig",
-    "ResilienceConfig",
-    "NetworkProfile",
-    "ObservabilityConfig",
-    "PrivacyThresholds",
-    "RunReport",
-    "StudyConfig",
-    "FederationService",
-    "ServiceConfig",
-    "GenDPRProtocol",
-    "GwasRelease",
-    "StudyResult",
-    "build_federation",
-    "build_release",
-    "hybrid_release",
-    "run_centralized_study",
-    "run_naive_study",
-    "run_study",
-    "ReproError",
-    "Cohort",
-    "GenotypeMatrix",
-    "SnpPanel",
-    "SyntheticSpec",
-    "generate_cohort",
-    "partition_cohort",
-    "__version__",
-]
+#: The documented public names and the modules that define them.  A
+#: name's module is imported the first time the name is read, so
+#: ``import repro.x`` loads only what ``repro.x`` imports.
+_EXPORTS = {
+    "CollusionPolicy": "repro.config",
+    "FaultConfig": "repro.config",
+    "IntegrityConfig": "repro.config",
+    "NetworkProfile": "repro.config",
+    "ObservabilityConfig": "repro.config",
+    "PrivacyThresholds": "repro.config",
+    "ResilienceConfig": "repro.config",
+    "StudyConfig": "repro.config",
+    "ReproError": "repro.errors",
+    "Cohort": "repro.genomics.population",
+    "GenotypeMatrix": "repro.genomics.genotype",
+    "SnpPanel": "repro.genomics.snp",
+    "SyntheticSpec": "repro.genomics.synthetic",
+    "generate_cohort": "repro.genomics.synthetic",
+    "partition_cohort": "repro.genomics.partition",
+    "GenDPRProtocol": "repro.core.protocol",
+    "run_study": "repro.core.protocol",
+    "StudyResult": "repro.core.phases",
+    "build_federation": "repro.core.federation",
+    "GwasRelease": "repro.core.release",
+    "build_release": "repro.core.release",
+    "hybrid_release": "repro.core.release",
+    "run_centralized_study": "repro.core.baseline",
+    "run_naive_study": "repro.core.naive",
+    "RunReport": "repro.obs.report",
+    "FederationService": "repro.serve.service",
+    "ServiceConfig": "repro.serve.config",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    """Import a public name's defining module when the name is first read."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value

@@ -4,21 +4,3 @@ Used to *validate* the protocol's guarantees — the released SNP sets
 must keep these detectors near their false-positive budget — and by the
 examples to demonstrate what goes wrong without GenDPR.
 """
-
-from .evaluation import AttackEvaluation, compare_released_vs_withheld, evaluate_attack
-from .membership import (
-    AttackDecision,
-    HomerAttack,
-    LrAttack,
-    collusion_adjusted_frequencies,
-)
-
-__all__ = [
-    "AttackEvaluation",
-    "compare_released_vs_withheld",
-    "evaluate_attack",
-    "AttackDecision",
-    "HomerAttack",
-    "LrAttack",
-    "collusion_adjusted_frequencies",
-]

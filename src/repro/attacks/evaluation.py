@@ -111,7 +111,7 @@ def compare_released_vs_withheld(
     """
     released_set = set(int(s) for s in released)
     withheld = [s for s in candidate_pool if int(s) not in released_set]
-    outcome = {
+    outcome = {  # lint: declassify(aggregate power and false-positive rate of each SNP set are the comparison's output)
         "released": evaluate_attack(cohort, released, alpha=alpha)
         if released
         else None,

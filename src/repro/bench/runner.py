@@ -33,7 +33,7 @@ def gendpr_row(
     """Run GenDPR once; return the timing/size/resource row.
 
     With ``report_path``, the run executes traced and its
-    :class:`~repro.obs.RunReport` is saved there — the machine-readable
+    :class:`~repro.obs.report.RunReport` is saved there — the machine-readable
     companion of the rendered table, without changing the row contents.
     """
     config = paper_config(

@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .attacks import evaluate_attack
+from .attacks.evaluation import evaluate_attack
 from .config import (
     CollusionPolicy,
     FaultConfig,
@@ -51,9 +51,14 @@ from .config import (
 )
 from .core.protocol import run_study
 from .errors import ReproError, ServiceOverloadedError
-from .genomics import Cohort, GenotypeMatrix, SnpPanel, SyntheticSpec, generate_cohort
-from .obs import RunReport, write_chrome_trace, write_jsonl
-from .serve import FederationService, ServiceConfig
+from .genomics.genotype import GenotypeMatrix
+from .genomics.population import Cohort
+from .genomics.snp import SnpPanel
+from .genomics.synthetic import SyntheticSpec, generate_cohort
+from .obs.export import write_chrome_trace, write_jsonl
+from .obs.report import RunReport
+from .serve.config import ServiceConfig
+from .serve.service import FederationService
 
 _BUNDLE_KEYS = ("case", "control")
 
@@ -327,7 +332,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         snps = [int(s) for s in args.snps.split(",")]
     else:
         snps = list(range(cohort.num_snps))
-    evaluation = evaluate_attack(cohort, snps, alpha=args.alpha)
+    evaluation = evaluate_attack(cohort, snps, alpha=args.alpha)  # lint: declassify(aggregate attack power and false-positive rate are what this command reports)
     print(f"LR membership attack over {len(snps)} SNPs "
           f"(alpha={args.alpha}):")
     print(f"  power:               {evaluation.power:.3f}")

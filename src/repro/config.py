@@ -9,7 +9,7 @@ threshold 0.9 for the likelihood-ratio test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .errors import CollusionConfigError, ConfigError
 
@@ -561,7 +561,7 @@ class ObservabilityConfig:
 
     Attributes:
         enabled: record spans/metrics and attach a
-            :class:`~repro.obs.RunReport` to the study result.
+            :class:`~repro.obs.report.RunReport` to the study result.
         capture_messages: also record one point event per network
             envelope (the highest-volume span source; switch off for
             long runs where only phase/ECALL granularity matters).
@@ -685,18 +685,3 @@ class NetworkProfile:
         if self.bandwidth_bytes_per_s is not None:
             time += num_bytes / self.bandwidth_bytes_per_s
         return time
-
-
-def equal_partition_sizes(total: int, parts: int) -> Sequence[int]:
-    """Sizes of an as-equal-as-possible split of ``total`` into ``parts``.
-
-    The paper divides genomes equally among federation members; when the
-    division is not exact the first ``total % parts`` members receive one
-    extra genome.
-    """
-    if parts <= 0:
-        raise ConfigError("parts must be positive")
-    if total < 0:
-        raise ConfigError("total must be non-negative")
-    base, extra = divmod(total, parts)
-    return [base + (1 if i < extra else 0) for i in range(parts)]

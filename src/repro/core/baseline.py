@@ -29,7 +29,9 @@ from ..errors import PhaseOrderError, ProtocolError, TEEError
 from ..genomics.partition import LocalDataset
 from ..genomics.population import Cohort
 from ..genomics.vcf import SignedMatrix
-from ..net import Envelope, SimulatedNetwork, serialization
+from ..net import serialization
+from ..net.message import Envelope
+from ..net.network import SimulatedNetwork
 from ..tee.attestation import AttestationService
 from ..tee.channel import ChannelEndpoint, establish_channel
 from ..tee.enclave import Enclave, ecall

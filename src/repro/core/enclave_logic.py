@@ -116,10 +116,14 @@ _SHARD_COUNTER_ZERO = {
 }
 
 
-def _padded(pairs: np.ndarray, bound: int) -> np.ndarray:
-    """``pairs`` followed by repeats of its first row: ``bound`` rows."""
-    out = np.repeat(pairs[:1], bound, axis=0)
-    out[: len(pairs)] = pairs
+def _padded(rows: np.ndarray, bound: int) -> np.ndarray:
+    """``rows`` followed by repeats of its first row: ``bound`` rows.
+
+    Padding pair rows repeat the first pair, so padding their joint
+    counts the same way gives the counts of the padded pair list.
+    """
+    out = np.repeat(rows[:1], bound, axis=0)
+    out[: len(rows)] = rows
     return out
 
 
@@ -686,7 +690,8 @@ class GenDPREnclave(Enclave):
         The request carries the walks and their stack depths, not the
         pairs: the member rebuilds the layout the leader fetches by
         (:meth:`_checked_ld_layout`) and answers the ``round``-th
-        ``bound`` rows of its remainder.
+        ``bound`` rows of its remainder.  Only the real rows go through
+        the kernel; the padding repeats the first row's count.
         """
         leader = self._config()["leader_id"]
         request = self._open(leader, "ld", frame)
@@ -696,7 +701,7 @@ class GenDPREnclave(Enclave):
         if type(index) is not int or not 0 <= index * bound < len(remainder):
             raise ProtocolError("LD request round is beyond the remainder")
         real = remainder[index * bound : (index + 1) * bound]
-        joint = self._local_moments(store, _padded(real, bound))
+        joint = _padded(self._local_moments(store, real), bound)
         return self._protect(
             leader,
             "ld",
@@ -1070,7 +1075,8 @@ class GenDPREnclave(Enclave):
             with ColumnReader(self, store) as reader:
                 local = reader.column_sums(shard.start, shard.stop)
         else:
-            local = self._local_moments(store, spec["pairs"])
+            real = spec["pairs"][: spec["real"]]
+            local = _padded(self._local_moments(store, real), len(spec["pairs"]))
         own = local[None]
         if self._shard_adversary is not None:
             own = np.asarray(

@@ -26,7 +26,8 @@ from ..errors import ProtocolError
 from ..genomics.partition import LocalDataset
 from ..genomics.population import Cohort
 from ..genomics.vcf import SignedMatrix
-from ..net import Envelope, SimulatedNetwork
+from ..net.message import Envelope
+from ..net.network import SimulatedNetwork
 from ..tee.attestation import AttestationService, Platform
 from ..tee.channel import establish_channel
 from ..tee.enclave import GuardedEnclaveProxy, guarded
@@ -132,7 +133,7 @@ class Federation:
     #: Dataset-authentication secret, retained so a replacement leader
     #: enclave can be provisioned during failover (never logged).
     data_auth_key: bytes = field(repr=False, default=b"")
-    #: Installed :class:`~repro.faults.FaultInjector` for chaos runs.
+    #: Installed :class:`~repro.faults.injector.FaultInjector` for chaos runs.
     fault_injector: Optional[object] = field(repr=False, default=None)
     #: Byzantine-integrity detection ledger for this federation.
     integrity_monitor: IntegrityMonitor = field(
@@ -493,7 +494,8 @@ def bind_study(
     ecall_interceptor = None
     if config.faults.enabled:
         # Local import keeps repro.faults optional on the default path.
-        from ..faults import FaultInjector, FaultPlan
+        from ..faults.injector import FaultInjector
+        from ..faults.plan import FaultPlan
 
         fault_injector = FaultInjector(
             FaultPlan.from_config(config.faults), leader_id=leader_id

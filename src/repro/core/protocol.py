@@ -27,8 +27,7 @@ from ..errors import (
     ProtocolError,
 )
 from ..genomics.population import Cohort
-from ..net import SimulatedNetwork
-from ..obs import MetricsRegistry, RunReport, SpanCollector, config_fingerprint
+from ..net.network import SimulatedNetwork
 from ..obs.bridge import (
     record_cache_stats,
     record_faults,
@@ -41,6 +40,9 @@ from ..obs.bridge import (
     record_spans,
     record_timings,
 )
+from ..obs.metrics import MetricsRegistry
+from ..obs.report import RunReport, config_fingerprint
+from ..obs.span import SpanCollector
 from ..obs.tracer import TRACER
 from .federation import Federation
 from .phases import CollusionReport, CombinationOutcome, StudyResult
@@ -145,7 +147,7 @@ class GenDPRProtocol:
 
         With ``config.observability.enabled`` the whole run executes
         under an activated span collector and the result carries a
-        :class:`~repro.obs.RunReport` (spans + metrics + config
+        :class:`~repro.obs.report.RunReport` (spans + metrics + config
         fingerprint).  Disabled (the default), the instrumented code
         paths only touch the null sink.
         """

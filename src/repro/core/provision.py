@@ -18,8 +18,8 @@ from ..config import StudyConfig
 from ..errors import ProtocolError
 from ..genomics.partition import partition_cohort
 from ..genomics.population import Cohort
-from ..net import SimulatedNetwork
-from ..obs import SpanCollector
+from ..net.network import SimulatedNetwork
+from ..obs.span import SpanCollector
 from ..obs.tracer import TRACER
 from .federation import (
     Federation,

@@ -59,7 +59,7 @@ from ..errors import (
     ProtocolError,
     UnknownPeerError,
 )
-from ..net import Envelope
+from ..net.message import Envelope
 from ..obs.tracer import TRACER
 
 #: One edge of a round: ``(sender, receiver, frame)``.  The frame slot

@@ -36,7 +36,6 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ..config import equal_partition_sizes
 from ..errors import ConfigError, ProtocolError
 
 __all__ = [
@@ -45,6 +44,7 @@ __all__ = [
     "AggregationTree",
     "plan_shards",
     "aggregation_tree",
+    "equal_partition_sizes",
 ]
 
 
@@ -118,6 +118,21 @@ class ShardPlan:
         return hashlib.sha256(encoded).hexdigest()
 
 
+def equal_partition_sizes(total: int, parts: int) -> Sequence[int]:
+    """Sizes of an as-equal-as-possible split of ``total`` into ``parts``.
+
+    The paper divides genomes equally among federation members; when the
+    division is not exact the first ``total % parts`` members receive one
+    extra genome.
+    """
+    if parts <= 0:
+        raise ConfigError("parts must be positive")
+    if total < 0:
+        raise ConfigError("total must be non-negative")
+    base, extra = divmod(total, parts)
+    return [base + (1 if i < extra else 0) for i in range(parts)]
+
+
 def plan_shards(
     snp_count: int,
     num_shards: int,
@@ -126,10 +141,10 @@ def plan_shards(
 ) -> ShardPlan:
     """Split ``snp_count`` columns into ``num_shards`` owned ranges.
 
-    The split mirrors :func:`~repro.config.equal_partition_sizes` (the
-    first ``L % S`` shards take one extra column) and owners are
-    assigned round-robin over the *sorted* member ids, so every party
-    that knows the study parameters derives the identical plan.
+    The split is :func:`equal_partition_sizes` (the first ``L % S``
+    shards take one extra column) and owners are assigned round-robin
+    over the *sorted* member ids, so every party that knows the study
+    parameters derives the identical plan.
 
     ``epoch`` is the tree-repair generation: each repair bumps it and
     rotates the round-robin owner assignment by one, so a repaired

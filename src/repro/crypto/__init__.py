@@ -12,29 +12,3 @@ the standard library (plus numpy for bulk XOR):
   channels.
 * :mod:`~repro.crypto.rng` — deterministic DRBG for reproducible runs.
 """
-
-from .authenticated import AEAD_OVERHEAD, StreamAead
-from .dh import KeyPair, derive_channel_key, generate_keypair, shared_secret
-from .kdf import derive_subkey, hkdf
-from .rng import DeterministicRng, system_random_bytes
-from .signing import SIGNATURE_SIZE, KeyedVerifier, MacSigner, digest
-from .stream import NONCE_SIZE, StreamCipher
-
-__all__ = [
-    "AEAD_OVERHEAD",
-    "StreamAead",
-    "KeyPair",
-    "derive_channel_key",
-    "generate_keypair",
-    "shared_secret",
-    "derive_subkey",
-    "hkdf",
-    "DeterministicRng",
-    "system_random_bytes",
-    "SIGNATURE_SIZE",
-    "KeyedVerifier",
-    "MacSigner",
-    "digest",
-    "NONCE_SIZE",
-    "StreamCipher",
-]

@@ -276,8 +276,8 @@ class StudyCancelledError(ServiceError):
     """A study session was cancelled by the client.
 
     Raised inside the session's protocol driver at the next round
-    boundary after :meth:`~repro.serve.FederationService.cancel`, and
-    surfaced from :meth:`~repro.serve.FederationService.result` for
+    boundary after :meth:`~repro.serve.service.FederationService.cancel`, and
+    surfaced from :meth:`~repro.serve.service.FederationService.result` for
     sessions that ended cancelled.
     """
 

@@ -1,38 +1,7 @@
 """Deterministic fault injection (:mod:`repro.faults`).
 
-Seeded, replayable fault schedules (:class:`FaultPlan`) and the
-runtime hook that applies them (:class:`FaultInjector`) to the
+Seeded, replayable fault schedules (:class:`~repro.faults.plan.FaultPlan`) and the
+runtime hook that applies them (:class:`~repro.faults.injector.FaultInjector`) to the
 simulated network and the enclave ECALL boundary.  Disabled by
 default; enabled per-study via :class:`repro.config.FaultConfig`.
 """
-
-from .injector import BroadcastEquivocator, FaultInjector
-from .plan import (
-    ACTIONS,
-    CORRUPT,
-    DELAY,
-    DROP,
-    DUPLICATE,
-    EQUIVOCATE,
-    REPLAY,
-    WITHHOLD,
-    CrashPoint,
-    FaultPlan,
-    PartitionWindow,
-)
-
-__all__ = [
-    "ACTIONS",
-    "CORRUPT",
-    "DELAY",
-    "DROP",
-    "DUPLICATE",
-    "EQUIVOCATE",
-    "REPLAY",
-    "WITHHOLD",
-    "BroadcastEquivocator",
-    "CrashPoint",
-    "FaultInjector",
-    "FaultPlan",
-    "PartitionWindow",
-]

@@ -11,7 +11,7 @@ The injector sits behind two hooks, both disabled by default:
   down at a planned crash point.
 
 Every injected event is counted, appended to a bounded event log for
-the fault-injection report, and traced through :data:`repro.obs.TRACER`
+the fault-injection report, and traced through :data:`repro.obs.tracer.TRACER`
 when observability is on.  All bookkeeping lives behind one lock; the
 decisions themselves are pure plan lookups, so worker threads cannot
 perturb the schedule.

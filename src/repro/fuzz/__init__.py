@@ -3,8 +3,8 @@
 The subsystem that replaced the fixed seed sweeps (``repro fuzz``):
 
 * :mod:`~repro.fuzz.genome` — the structured input space
-  (:class:`PlanGenome`: a fault config plus run axes) with canonical
-  JSON, digests and threat-model normalization;
+  (:class:`~repro.fuzz.genome.PlanGenome`: a fault config plus run
+  axes) with canonical JSON, digests and threat-model normalization;
 * :mod:`~repro.fuzz.mutator` — typed, deterministic mutation operators;
 * :mod:`~repro.fuzz.coverage` — behaviour keys: fired
   ``faults.*``/``integrity.*``/``shard.repair.*`` counters unioned
@@ -21,26 +21,3 @@ The subsystem that replaced the fixed seed sweeps (``repro fuzz``):
 See ``docs/FUZZING.md`` for the genome format, behaviour keys, corpus
 lifecycle and how to triage a shrunk reproducer.
 """
-
-from .corpus import CorpusPool
-from .coverage import Behaviour, CoverageCollector
-from .engine import FuzzEngine
-from .genome import PlanGenome, genome_config, normalize
-from .mutator import PlanMutator
-from .oracle import DecisionOracle, OracleRun
-from .shrink import Shrinker, ShrinkResult
-
-__all__ = [
-    "Behaviour",
-    "CorpusPool",
-    "CoverageCollector",
-    "DecisionOracle",
-    "FuzzEngine",
-    "OracleRun",
-    "PlanGenome",
-    "PlanMutator",
-    "Shrinker",
-    "ShrinkResult",
-    "genome_config",
-    "normalize",
-]

@@ -35,7 +35,8 @@ from ..core.leader import elect_leader
 from ..core.phases import StudyResult
 from ..core.protocol import GenDPRProtocol
 from ..errors import ReproError
-from ..genomics import SyntheticSpec, generate_cohort, partition_cohort
+from ..genomics.partition import partition_cohort
+from ..genomics.synthetic import SyntheticSpec, generate_cohort
 from ..obs.bridge import metric_slug, record_faults, record_integrity
 from ..obs.metrics import MetricsRegistry
 from .coverage import Behaviour, CoverageCollector

@@ -12,22 +12,7 @@
   which the trusted module accepts a member's genomes.
 """
 
-from .genotype import GenotypeMatrix
-from .partition import LocalDataset, partition_cohort
-from .population import Cohort
-from .snp import SnpInfo, SnpPanel
-from .synthetic import SyntheticSpec, SyntheticTruth, generate_cohort
-from .vcf import SignedMatrix
+# perfbench/ imports these by package path.
+from .synthetic import SyntheticSpec, generate_cohort
 
-__all__ = [
-    "GenotypeMatrix",
-    "LocalDataset",
-    "partition_cohort",
-    "Cohort",
-    "SnpInfo",
-    "SnpPanel",
-    "SyntheticSpec",
-    "SyntheticTruth",
-    "generate_cohort",
-    "SignedMatrix",
-]
+__all__ = ["SyntheticSpec", "generate_cohort"]

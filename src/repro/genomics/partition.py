@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..config import equal_partition_sizes
+from ..core.shard import equal_partition_sizes
 from ..errors import PartitionError
 from .genotype import GenotypeMatrix
 from .population import Cohort

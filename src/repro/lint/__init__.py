@@ -22,41 +22,6 @@ this package *proves the easy half statically*, on every commit:
   classification total.
 
 Entry points: ``repro lint [paths]`` (human/JSON reports, baseline,
-``lint.toml`` scope map) and the :func:`run_lint` library API.
+``lint.toml`` scope map) and the :func:`~repro.lint.engine.run_lint`
+library API.
 """
-
-from .baseline import Baseline
-from .config import (
-    DEFAULT_SCOPES,
-    LintConfig,
-    ScopeMap,
-    find_config,
-    load_config,
-)
-from .engine import LintResult, run_lint
-from .findings import Finding, Severity
-from .reporting import human_report, json_report
-from .rules import REGISTRY, ModuleInfo, Rule, register, rule_catalog
-from .runtime import OrderedLockFactory, combined_cycles
-
-__all__ = [
-    "Baseline",
-    "DEFAULT_SCOPES",
-    "Finding",
-    "LintConfig",
-    "LintResult",
-    "ModuleInfo",
-    "OrderedLockFactory",
-    "REGISTRY",
-    "Rule",
-    "ScopeMap",
-    "Severity",
-    "combined_cycles",
-    "find_config",
-    "human_report",
-    "json_report",
-    "load_config",
-    "register",
-    "rule_catalog",
-    "run_lint",
-]

@@ -27,36 +27,3 @@ sealed-store loads that records every *observed* secret escape at test
 time, cross-checked against the statically known declassification
 sites (zero statically-unknown escapes is the acceptance bar).
 """
-
-from .analysis import FlowAnalysis, FlowResult, FunctionSummary, analyze
-from .callgraph import CallGraph, FunctionIndex, build_callgraph
-from .model import TaintModel
-from .runtime import (
-    EscapeRecord,
-    TaintMonitor,
-    TaintTag,
-    TaintedArray,
-    TaintedColumnReader,
-    taint_array,
-    taint_of,
-    unknown_escapes,
-)
-
-__all__ = [
-    "CallGraph",
-    "EscapeRecord",
-    "FlowAnalysis",
-    "FlowResult",
-    "FunctionIndex",
-    "FunctionSummary",
-    "TaintModel",
-    "TaintMonitor",
-    "TaintTag",
-    "TaintedArray",
-    "TaintedColumnReader",
-    "analyze",
-    "build_callgraph",
-    "taint_array",
-    "taint_of",
-    "unknown_escapes",
-]

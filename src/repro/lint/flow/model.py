@@ -104,7 +104,9 @@ DEFAULT_LEAK_SINKS: Dict[str, str] = {
 #: marker (audited by R8).  These are the paper's release points: the
 #: retained-SNP set after each filtering phase and the leader's final
 #: release statistics are *outputs* of the protocol, published by
-#: design.
+#: design.  ``evaluate_attack`` reduces a cohort to one detector's
+#: power and false-positive rate, the aggregates ``repro attack``
+#: exists to report.
 DEFAULT_DECLASSIFIERS: Tuple[str, ...] = (
     "repro.core.enclave_logic.GenDPREnclave.lead_run_maf",
     "repro.core.enclave_logic.GenDPREnclave.lead_run_ld",
@@ -114,6 +116,7 @@ DEFAULT_DECLASSIFIERS: Tuple[str, ...] = (
     "repro.core.enclave_logic.GenDPREnclave.lead_plain_safe",
     "repro.core.enclave_logic.GenDPREnclave.lead_release_power",
     "repro.core.enclave_logic.GenDPREnclave.lead_release_statistics",
+    "repro.attacks.evaluation.evaluate_attack",
 )
 
 #: Calls that never propagate taint and are never sinks: size/shape

@@ -5,17 +5,3 @@
 * :mod:`~repro.net.network` — synchronous router with traffic accounting,
   a latency/bandwidth clock and partition fault injection.
 """
-
-from .message import Envelope, LinkStats
-from .network import ScopedNetwork, SimulatedNetwork
-from .serialization import decode, encode, encoded_size
-
-__all__ = [
-    "Envelope",
-    "LinkStats",
-    "ScopedNetwork",
-    "SimulatedNetwork",
-    "decode",
-    "encode",
-    "encoded_size",
-]

@@ -53,7 +53,7 @@ class SimulatedNetwork:
         #: Guards topology (registration/partitions) and the link/clock
         #: accounting; per-inbox delivery uses the per-node locks.
         self._stats_lock = threading.Lock()
-        #: Optional :class:`~repro.faults.FaultInjector` mediating
+        #: Optional :class:`~repro.faults.injector.FaultInjector` mediating
         #: deliveries; ``None`` (the default) keeps sends on the direct
         #: inbox-append path with zero added work.
         self._fault_injector = None
@@ -106,7 +106,7 @@ class SimulatedNetwork:
     # -- Fault injection ---------------------------------------------------------
 
     def install_fault_injector(self, injector) -> None:
-        """Route every send through a :class:`~repro.faults.FaultInjector`.
+        """Route every send through a :class:`~repro.faults.injector.FaultInjector`.
 
         Chaos runs only; without this call the delivery path is exactly
         the pre-injection fast path.

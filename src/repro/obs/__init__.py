@@ -21,50 +21,3 @@ pieces, all zero-dependency:
 Span taxonomy, metric names and the RunReport schema are documented in
 ``docs/OBSERVABILITY.md``.
 """
-
-from .export import (
-    read_jsonl,
-    render_span_tree,
-    span_from_dict,
-    span_to_dict,
-    to_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    exponential_buckets,
-)
-from .report import RunReport, config_fingerprint
-from .span import NULL_SINK, NullCollector, Span, SpanCollector
-from .tracer import NULL_SPAN, TRACER, Tracer, traced
-
-__all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_SINK",
-    "NULL_SPAN",
-    "NullCollector",
-    "RunReport",
-    "Span",
-    "SpanCollector",
-    "TRACER",
-    "Tracer",
-    "config_fingerprint",
-    "exponential_buckets",
-    "read_jsonl",
-    "render_span_tree",
-    "span_from_dict",
-    "span_to_dict",
-    "to_chrome_trace",
-    "traced",
-    "write_chrome_trace",
-    "write_jsonl",
-]

@@ -255,7 +255,7 @@ def record_spans(registry: MetricsRegistry, spans: Iterable[Span]) -> None:
 
 
 def record_service(registry: MetricsRegistry, stats: Dict[str, object]) -> None:
-    """Feed :class:`~repro.serve.FederationService` stats into metrics.
+    """Feed :class:`~repro.serve.service.FederationService` stats into metrics.
 
     Counters (submissions, completions, rejections, warm pool hits,
     cold provisions, retired slots, gated rounds) land under

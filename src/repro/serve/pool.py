@@ -3,7 +3,7 @@
 Each pool slot is a fully provisioned
 :class:`~repro.core.federation.FederationSubstrate` — platforms,
 attested enclaves and a pairwise channel mesh — living in its own
-namespace (:meth:`~repro.net.SimulatedNetwork.scope`) of the service's
+namespace (:meth:`~repro.net.network.SimulatedNetwork.scope`) of the service's
 shared router.  Provisioning (attestation + DH key agreement + channel
 establishment) is paid once per slot; every study bound to the slot
 afterwards reuses the substrate and pays only ``configure`` + dataset
@@ -29,8 +29,7 @@ from typing import Deque, Dict, List, Optional
 from ..core.federation import FederationSubstrate, provision_substrate
 from ..crypto.rng import DeterministicRng
 from ..errors import ServiceError
-from ..net import SimulatedNetwork
-from ..net.network import ScopedNetwork
+from ..net.network import ScopedNetwork, SimulatedNetwork
 from .config import ServiceConfig
 
 

@@ -35,9 +35,10 @@ from ..errors import (
     UnknownStudyError,
 )
 from ..genomics.population import Cohort
-from ..net import SimulatedNetwork
-from ..obs import MetricsRegistry, RunReport, config_fingerprint
+from ..net.network import SimulatedNetwork
 from ..obs.bridge import record_service
+from ..obs.metrics import MetricsRegistry
+from ..obs.report import RunReport, config_fingerprint
 from .config import ServiceConfig
 from .pool import EnclavePool
 from .scheduler import FairRoundGate
@@ -67,7 +68,7 @@ class FederationService:
     The client API is ``submit`` / ``status`` / ``result`` / ``cancel``;
     ``metrics`` exposes the scheduler/queue/pool books and every
     completed session's :class:`~repro.core.phases.StudyResult` carries
-    a service-built per-request :class:`~repro.obs.RunReport`.
+    a service-built per-request :class:`~repro.obs.report.RunReport`.
     """
 
     def __init__(

@@ -13,65 +13,3 @@ A faithful software model of the SGX facilities GenDPR builds on:
 See DESIGN.md for why simulation (rather than Gramine-wrapped hardware
 enclaves) is the right substrate for this reproduction.
 """
-
-from .attestation import (
-    AttestationService,
-    MonotonicCounter,
-    Platform,
-    Quote,
-    QuoteVerifier,
-    pack_report_data,
-)
-from .channel import ChannelEndpoint, HandshakeMessage, establish_channel
-from .enclave import (
-    Enclave,
-    GuardedEnclaveProxy,
-    ecall,
-    expected_measurement,
-    guarded,
-)
-from .measurement import Measurement, measure_blob, measure_class
-from .oblivious import (
-    oblivious_maf_mask,
-    oblivious_prefix_selection,
-    oblivious_quantile_threshold,
-    oblivious_select,
-    oblivious_sort,
-)
-from .resources import BASELINE_MEMORY_BYTES, ResourceMeter, ResourceReport
-from .sealing import SealedBlob, seal, unseal
-from .storage import ColumnReader, SealedColumnStore, seal_matrix
-
-__all__ = [
-    "AttestationService",
-    "MonotonicCounter",
-    "Platform",
-    "Quote",
-    "QuoteVerifier",
-    "pack_report_data",
-    "ChannelEndpoint",
-    "HandshakeMessage",
-    "establish_channel",
-    "Enclave",
-    "GuardedEnclaveProxy",
-    "ecall",
-    "expected_measurement",
-    "guarded",
-    "Measurement",
-    "oblivious_maf_mask",
-    "oblivious_prefix_selection",
-    "oblivious_quantile_threshold",
-    "oblivious_select",
-    "oblivious_sort",
-    "measure_blob",
-    "measure_class",
-    "BASELINE_MEMORY_BYTES",
-    "ResourceMeter",
-    "ResourceReport",
-    "SealedBlob",
-    "seal",
-    "unseal",
-    "ColumnReader",
-    "SealedColumnStore",
-    "seal_matrix",
-]

@@ -9,17 +9,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro import (
-    CollusionPolicy,
-    PrivacyThresholds,
-    StudyConfig,
-    generate_cohort,
-    partition_cohort,
-    run_study,
-)
+from repro.config import CollusionPolicy, PrivacyThresholds, StudyConfig
 from repro.core.federation import build_federation
-from repro.core.protocol import GenDPRProtocol
-from repro.genomics import SyntheticSpec
+from repro.core.protocol import GenDPRProtocol, run_study
+from repro.genomics.partition import partition_cohort
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
 
 #: Small-but-meaningful cohort dimensions used across the suite.
 SMALL_SNPS = 240

@@ -5,15 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.attacks import (
+from repro.attacks.evaluation import compare_released_vs_withheld, evaluate_attack
+from repro.attacks.membership import (
     HomerAttack,
     LrAttack,
     collusion_adjusted_frequencies,
-    compare_released_vs_withheld,
-    evaluate_attack,
 )
 from repro.errors import GenomicsError
-from repro.genomics import SyntheticSpec, generate_cohort
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
 
 
 @pytest.fixture(scope="module")

@@ -5,20 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench import (
-    PAPER_THRESHOLDS,
-    bench_scale,
-    centralized_row,
-    collusion_row,
-    gendpr_row,
-    naive_row,
-    paper_cohort,
-    paper_config,
+from repro.bench.reporting import (
     render_collusion_table,
     render_resource_table,
     render_runtime_figure,
     render_selection_table,
     render_table,
+)
+from repro.bench.runner import centralized_row, collusion_row, gendpr_row, naive_row
+from repro.bench.workloads import (
+    PAPER_THRESHOLDS,
+    bench_scale,
+    paper_cohort,
+    paper_config,
     scaled,
 )
 from repro.core.timing import ALL_LABELS

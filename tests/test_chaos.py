@@ -29,7 +29,6 @@ import os
 
 import pytest
 
-from repro import generate_cohort
 from repro.fuzz.genome import genome_config
 from repro.fuzz.oracle import DecisionOracle
 from repro.fuzz.seeds import (
@@ -40,7 +39,7 @@ from repro.fuzz.seeds import (
     seed_f,
     seed_mode,
 )
-from repro.genomics import SyntheticSpec
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
 
 MEMBERS = 3
 STUDY_ID = "chaos-sweep"

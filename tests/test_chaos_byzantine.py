@@ -30,7 +30,6 @@ import os
 
 import pytest
 
-from repro import generate_cohort
 from repro.core.integrity import COUNTER_NAMES
 from repro.fuzz.genome import genome_config
 from repro.fuzz.oracle import DecisionOracle
@@ -44,7 +43,7 @@ from repro.fuzz.seeds import (
     seed_f,
     seed_mode,
 )
-from repro.genomics import SyntheticSpec
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
 
 MEMBERS = 3
 STUDY_ID = "byzantine-sweep"

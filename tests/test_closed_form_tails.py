@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from repro.bench.workloads import PAPER_CASE_FULL, paper_cohort
-from repro.genomics import partition_cohort
+from repro.genomics.partition import partition_cohort
 from repro.stats import chisq, power
 
 MEMBERS = 5

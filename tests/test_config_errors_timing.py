@@ -11,8 +11,8 @@ from repro.config import (
     NetworkProfile,
     PrivacyThresholds,
     StudyConfig,
-    equal_partition_sizes,
 )
+from repro.core.shard import equal_partition_sizes
 from repro.core.timing import (
     ALL_LABELS,
     PhaseClock,

@@ -13,7 +13,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import partition_cohort
 from repro.core.federation import build_federation
 from repro.core.protocol import GenDPRProtocol
 from repro.crypto.signing import MacSigner
@@ -24,8 +23,10 @@ from repro.errors import (
     ReproError,
     SealingError,
 )
-from repro.genomics import GenotypeMatrix, SignedMatrix
-from repro.net import Envelope
+from repro.genomics.genotype import GenotypeMatrix
+from repro.genomics.partition import partition_cohort
+from repro.genomics.vcf import SignedMatrix
+from repro.net.message import Envelope
 from repro.tee.sealing import SealedBlob
 from repro.tee.storage import SealedColumnStore
 

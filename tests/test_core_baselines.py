@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import StudyConfig, partition_cohort
+from repro.config import StudyConfig
 from repro.core.baseline import (
     CentralizedEnclave,
     CentralizedVerifier,
@@ -13,6 +13,7 @@ from repro.core.baseline import (
 from repro.core.naive import naive_traffic_bytes, run_naive_study
 from repro.core.pipeline import run_local_pipeline
 from repro.errors import ProtocolError
+from repro.genomics.partition import partition_cohort
 
 
 class TestCentralized:

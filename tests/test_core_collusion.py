@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from repro import CollusionPolicy, StudyConfig, run_study
+from repro.config import CollusionPolicy, StudyConfig
+from repro.core.protocol import run_study
 from repro.errors import CollusionConfigError
 
 

@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import StudyConfig
+from repro.config import StudyConfig
 from repro.core.dynamic import DynamicStudy
 from repro.core.pipeline import run_local_pipeline
 from repro.errors import ProtocolError
-from repro.genomics import GenotypeMatrix, SyntheticSpec, generate_cohort
+from repro.genomics.genotype import GenotypeMatrix
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
 
 
 @pytest.fixture(scope="module")

@@ -8,12 +8,13 @@ import math
 import numpy as np
 import pytest
 
-from repro import partition_cohort, run_study
 from repro.config import CollusionPolicy, ShardingConfig
 from repro.core import enclave_logic
 from repro.core.enclave_logic import GenDPREnclave
 from repro.core.federation import build_federation
+from repro.core.protocol import run_study
 from repro.errors import PhaseOrderError, ProtocolError, TEEError
+from repro.genomics.partition import partition_cohort
 from repro.stats import ld
 from repro.tee.storage import ColumnReader, seal_matrix
 
@@ -241,6 +242,53 @@ class TestJointCounts:
         store = seal_matrix(enclave, np.zeros((5, 30), dtype=np.uint8), "t")
         with ColumnReader(enclave, store) as reader, pytest.raises(ProtocolError):
             enclave_logic._joint_counts(reader, np.array([[0, bad]]))
+
+
+class TestPaddedLdRows:
+    """A member computes each real LD pair once and pads the counts,
+    and what it sends equals the joint counts of the padded pair list:
+    the flat ``ld`` answer and a moments task's leaf row alike."""
+
+    @staticmethod
+    def _member(study_config, datasets, small_cohort, shards):
+        config = dataclasses.replace(
+            study_config, sharding=ShardingConfig.over(shards)
+        )
+        federation = build_federation(config, datasets, small_cohort)
+        leader = federation.enclaves[federation.leader_id]
+        member = next(m for m in federation.member_ids if m != federation.leader_id)
+        genotypes = next(d for d in datasets if d.gdo_id == member).case.array()
+
+        def joint(pairs):
+            return (genotypes[:, pairs[:, 0]] & genotypes[:, pairs[:, 1]]).sum(axis=0)
+
+        store = federation.hosts[member].store
+        return leader, member, federation.enclaves[member], store, joint
+
+    def test_ld_answer(self, study_config, datasets, small_cohort):
+        leader, member, enclave, store, joint = self._member(
+            study_config, datasets, small_cohort, shards=1
+        )
+        message = dict(_walk_message(), req_id="ld-1")
+        request = leader._protect(member, "ld", message)
+        frame = enclave.ecall("answer_ld", store, request)
+        answer = leader._open(member, "ld", frame)["moments"]
+        bound = enclave_logic._ld_round_bound(message)
+        real = enclave._checked_ld_layout(message).remainder[:bound]
+        assert 0 < len(real) < bound
+        assert np.array_equal(answer, joint(enclave_logic._padded(real, bound)))
+
+    def test_moments_leaf(self, study_config, datasets, small_cohort):
+        leader, member, enclave, store, joint = self._member(
+            study_config, datasets, small_cohort, shards=2
+        )
+        spec = {k: v for k, v in _walk_message().items() if k != "round"}
+        spec.update(task="t-0", kind="moments", shard=0)
+        enclave.ecall("ingest_shard_task", leader._protect(member, "shard-task", spec))
+        task = enclave._shard_tasks["t-0"]
+        assert 0 < task["real"] < len(task["pairs"])
+        stats, _sizes, _digest = enclave._shard_leaf(store, task)
+        assert np.array_equal(stats, joint(task["pairs"])[None])
 
 
 class TestMalformedSnpVectors:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import StudyConfig
+from repro.config import StudyConfig
 from repro.core.audit import (
     ALLOWED_KINDS,
     audit_federation,
@@ -17,7 +17,7 @@ from repro.errors import (
     PhaseOrderError,
     ProtocolError,
 )
-from repro.net import Envelope
+from repro.net.message import Envelope
 
 
 class TestLeaderElection:
@@ -79,7 +79,7 @@ class TestFederationBuild:
             build_federation(study_config, [], small_cohort)
 
     def test_collusion_validated_at_build(self, small_cohort, datasets):
-        from repro import CollusionPolicy
+        from repro.config import CollusionPolicy
         from repro.errors import CollusionConfigError
 
         config = StudyConfig(

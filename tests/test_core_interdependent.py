@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import StudyConfig
+from repro.config import StudyConfig
 from repro.core.dynamic import DynamicStudy
 from repro.core.interdependent import (
     admissible_after_history,
@@ -13,7 +13,8 @@ from repro.core.interdependent import (
     cumulative_release_power,
 )
 from repro.errors import ProtocolError
-from repro.genomics import GenotypeMatrix, SyntheticSpec, generate_cohort
+from repro.genomics.genotype import GenotypeMatrix
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
 
 ALPHA, BETA = 0.1, 0.9
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro import StudyConfig, run_study
+from repro.config import StudyConfig
 from repro.core.baseline import run_centralized_study
 from repro.core.pipeline import run_local_pipeline
+from repro.core.protocol import run_study
 from repro.core.timing import ALL_LABELS
 from repro.errors import ProtocolError
 

@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro import partition_cohort
 from repro.config import CollusionPolicy, ResilienceConfig, ShardingConfig
 from repro.core.enclave_logic import GenDPREnclave
 from repro.core.federation import build_federation
@@ -15,6 +14,7 @@ from repro.core.protocol import GenDPRProtocol
 from repro.core.supervisor import ProtocolSupervisor
 from repro.crypto.rng import DeterministicRng
 from repro.errors import ProtocolError, SealingError
+from repro.genomics.partition import partition_cohort
 from repro.net import serialization
 from repro.tee.channel import establish_channel
 from repro.tee.sealing import SealedBlob, unseal

@@ -12,7 +12,7 @@ from repro.core.shard import (
     plan_shards,
 )
 from repro.errors import ConfigError, ProtocolError
-from repro.obs import config_fingerprint
+from repro.obs.report import config_fingerprint
 
 MEMBERS = ("gdo-0", "gdo-1", "gdo-2", "gdo-3", "gdo-4")
 

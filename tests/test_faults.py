@@ -6,14 +6,10 @@ import pytest
 
 from repro.config import FaultConfig
 from repro.errors import ConfigError, NetworkError
-from repro.faults import (
-    ACTIONS,
-    CrashPoint,
-    FaultInjector,
-    FaultPlan,
-    PartitionWindow,
-)
-from repro.net import Envelope, SimulatedNetwork
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import ACTIONS, CrashPoint, FaultPlan, PartitionWindow
+from repro.net.message import Envelope
+from repro.net.network import SimulatedNetwork
 from repro.tee.enclave import Enclave, ecall, guarded
 
 
@@ -231,10 +227,9 @@ class TestZeroOverheadWhenDisabled:
         assert proxy.ecall == enclave.ecall
 
     def test_disabled_faults_do_not_change_study_fingerprint(self):
-        from repro import StudyConfig
-        from repro.config import ResilienceConfig
-        from repro.obs import config_fingerprint
         import dataclasses
+        from repro.config import ResilienceConfig, StudyConfig
+        from repro.obs.report import config_fingerprint
 
         base = StudyConfig(snp_count=16)
         tweaked = dataclasses.replace(

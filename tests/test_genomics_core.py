@@ -7,15 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import equal_partition_sizes
+from repro.core.shard import equal_partition_sizes
 from repro.errors import GenomicsError, PartitionError
-from repro.genomics import (
-    Cohort,
-    GenotypeMatrix,
-    SnpInfo,
-    SnpPanel,
-    partition_cohort,
-)
+from repro.genomics.genotype import GenotypeMatrix
+from repro.genomics.partition import partition_cohort
+from repro.genomics.population import Cohort
+from repro.genomics.snp import SnpInfo, SnpPanel
 
 
 def _matrix(rows=20, cols=12, seed=1):

@@ -7,8 +7,9 @@ import pytest
 
 from repro.crypto.signing import MacSigner
 from repro.errors import DataIntegrityError, GenomicsError
-from repro.genomics import SignedMatrix, SyntheticSpec, generate_cohort
-from repro.stats import r_squared_direct
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
+from repro.genomics.vcf import SignedMatrix
+from repro.stats.ld import r_squared_direct
 
 _KEY = bytes(range(32))
 

@@ -35,7 +35,8 @@ from repro.config import (
 )
 from repro.core.pipeline import run_local_pipeline
 from repro.core.protocol import run_study
-from repro.genomics import GenotypeMatrix, SyntheticSpec, generate_cohort
+from repro.genomics.genotype import GenotypeMatrix
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
 from repro.stats import chisq, ld
 
 SNPS = 300

@@ -6,18 +6,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro import (
-    CollusionPolicy,
-    StudyConfig,
-    build_release,
-    hybrid_release,
-    partition_cohort,
-)
-from repro.attacks import evaluate_attack
+from repro.attacks.evaluation import evaluate_attack
+from repro.config import CollusionPolicy, StudyConfig
 from repro.core.audit import audit_federation
 from repro.core.federation import build_federation
 from repro.core.protocol import GenDPRProtocol
+from repro.core.release import build_release, hybrid_release
 from repro.errors import EnclaveCrashedError, NetworkError
+from repro.genomics.partition import partition_cohort
 
 
 @pytest.fixture(scope="module")

@@ -13,12 +13,12 @@ import dataclasses
 
 import pytest
 
-from repro import StudyConfig, generate_cohort, partition_cohort
 from repro.config import (
     CollusionPolicy,
     FaultConfig,
     IntegrityConfig,
     ResilienceConfig,
+    StudyConfig,
 )
 from repro.core.federation import build_federation
 from repro.core.integrity import (
@@ -36,7 +36,8 @@ from repro.errors import (
     StaleCheckpointError,
     TranscriptDivergenceError,
 )
-from repro.genomics import SyntheticSpec
+from repro.genomics.partition import partition_cohort
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
 from repro.net import serialization
 from repro.tee.attestation import MonotonicCounter
 
@@ -433,7 +434,8 @@ class TestEndToEnd:
 class TestReplyRouterDedup:
     def test_two_generation_dedup_and_high_water(self):
         from repro.core.resilience import _ReplyRouter
-        from repro.net import Envelope, SimulatedNetwork
+        from repro.net.message import Envelope
+        from repro.net.network import SimulatedNetwork
 
         network = SimulatedNetwork()
         network.register("leader")

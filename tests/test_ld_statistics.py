@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import partition_cohort
 from repro.config import ShardingConfig
 from repro.core import pipeline
 from repro.core.enclave_logic import GenDPREnclave
@@ -26,6 +25,7 @@ from repro.core.federation import build_federation
 from repro.core.protocol import GenDPRProtocol
 from repro.core.timing import PhaseClock, PhaseTimings
 from repro.errors import ProtocolError
+from repro.genomics.partition import partition_cohort
 from repro.stats import ld
 
 #: The pooled size of the benchmark cohorts at ``REPRO_BENCH_SCALE=1``.

@@ -17,19 +17,12 @@ import pytest
 
 from repro.cli import main
 from repro.errors import LintConfigError
-from repro.lint import (
-    Baseline,
-    LintConfig,
-    OrderedLockFactory,
-    ScopeMap,
-    combined_cycles,
-    find_config,
-    json_report,
-    load_config,
-    run_lint,
-)
-from repro.lint.engine import SYNTAX_RULE
+from repro.lint.baseline import Baseline
+from repro.lint.config import LintConfig, ScopeMap, find_config, load_config
+from repro.lint.engine import SYNTAX_RULE, run_lint
+from repro.lint.reporting import json_report
 from repro.lint.rules.locks import find_cycles
+from repro.lint.runtime import OrderedLockFactory, combined_cycles
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "lint"
 

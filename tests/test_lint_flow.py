@@ -14,8 +14,8 @@ import pathlib
 import pytest
 
 from repro.errors import LintConfigError
-from repro.lint import LintConfig, run_lint
-from repro.lint.config import load_config
+from repro.lint.config import LintConfig, load_config
+from repro.lint.engine import run_lint
 from repro.lint.flow.model import (
     DEFAULT_SOURCES,
     TaintModel,

@@ -14,8 +14,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.lint import LintConfig, run_lint
 from repro.lint.config import load_config
+from repro.lint.engine import run_lint
 from repro.lint.flow.runtime import (
     EscapeRecord,
     TaintMonitor,

@@ -12,7 +12,8 @@ import pathlib
 
 import pytest
 
-from repro.lint import LintConfig, ScopeMap, run_lint
+from repro.lint.config import LintConfig, ScopeMap
+from repro.lint.engine import run_lint
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "lint"
 
@@ -75,7 +76,7 @@ class TestRuleFires:
         assert result.findings == [], [f.render() for f in result.findings]
 
     def test_every_shipped_rule_has_fixture_coverage(self):
-        from repro.lint import REGISTRY
+        from repro.lint.rules import REGISTRY
 
         # R1-R5 are pinned here; the flow rules R6-R8 are pinned by the
         # flowpkg fixture trees in tests/test_lint_flow.py.

@@ -12,14 +12,9 @@ import sys
 
 import pytest
 
-from repro.lint import (
-    Baseline,
-    DEFAULT_SCOPES,
-    LintConfig,
-    ScopeMap,
-    load_config,
-    run_lint,
-)
+from repro.lint.baseline import Baseline
+from repro.lint.config import DEFAULT_SCOPES, LintConfig, ScopeMap, load_config
+from repro.lint.engine import run_lint
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"

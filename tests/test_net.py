@@ -9,14 +9,9 @@ from hypothesis import strategies as st
 
 from repro.config import NetworkProfile
 from repro.errors import NetworkError, SerializationError, UnknownPeerError
-from repro.net import (
-    Envelope,
-    LinkStats,
-    SimulatedNetwork,
-    decode,
-    encode,
-    encoded_size,
-)
+from repro.net.message import Envelope, LinkStats
+from repro.net.network import SimulatedNetwork
+from repro.net.serialization import decode, encode, encoded_size
 
 
 class TestSerialization:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SerializationError
-from repro.net import decode, encode
+from repro.net.serialization import decode, encode
 
 
 @given(st.binary(min_size=0, max_size=200))

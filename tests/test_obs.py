@@ -21,28 +21,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ObservabilityConfig, StudyConfig, run_study
 from repro.cli import main, save_cohort_bundle
+from repro.config import ObservabilityConfig, StudyConfig
+from repro.core.protocol import run_study
 from repro.core.timing import ALL_LABELS
 from repro.errors import ObservabilityError
-from repro.genomics import SyntheticSpec, generate_cohort
-from repro.obs import (
-    NULL_SINK,
-    NULL_SPAN,
-    TRACER,
-    Histogram,
-    MetricsRegistry,
-    RunReport,
-    Span,
-    SpanCollector,
-    config_fingerprint,
-    exponential_buckets,
-    read_jsonl,
-    render_span_tree,
-    to_chrome_trace,
-    traced,
-    write_jsonl,
-)
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
+from repro.obs.export import read_jsonl, render_span_tree, to_chrome_trace, write_jsonl
+from repro.obs.metrics import Histogram, MetricsRegistry, exponential_buckets
+from repro.obs.report import RunReport, config_fingerprint
+from repro.obs.span import NULL_SINK, SpanCollector
+from repro.obs.tracer import NULL_SPAN, TRACER, traced
 
 
 # ---------------------------------------------------------------------------

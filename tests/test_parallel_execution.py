@@ -16,11 +16,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro import CollusionPolicy, StudyConfig, run_study
-from repro.config import ExecutionConfig
+from repro.config import CollusionPolicy, ExecutionConfig, StudyConfig
+from repro.core.protocol import run_study
 from repro.errors import ConfigError, NetworkError
 from repro.fuzz.oracle import study_decisions
-from repro.net import Envelope, SimulatedNetwork
+from repro.net.message import Envelope
+from repro.net.network import SimulatedNetwork
 
 
 def _run(small_cohort, *, members: int, f: int, mode: str):
@@ -56,7 +57,7 @@ class TestExecutionConfig:
             ExecutionConfig(mode="parallel", max_workers=0)
 
     def test_fingerprint_excludes_execution(self, small_cohort):
-        from repro.obs import config_fingerprint
+        from repro.obs.report import config_fingerprint
 
         base = StudyConfig(snp_count=small_cohort.num_snps, study_id="fp")
         assert config_fingerprint(base) == config_fingerprint(
@@ -204,9 +205,10 @@ class TestLockOrderCrossCheck:
         import repro.core.resilience as resilience_module
         import repro.net.network as network_module
         from repro.config import ResilienceConfig
-        from repro.lint import LintConfig, OrderedLockFactory, combined_cycles
+        from repro.lint.config import LintConfig
         from repro.lint.engine import load_module
         from repro.lint.rules.locks import extract_lock_edges
+        from repro.lint.runtime import OrderedLockFactory, combined_cycles
 
         factory = OrderedLockFactory()
         monkeypatch.setattr(network_module, "threading", factory.shim())

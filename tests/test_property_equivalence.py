@@ -12,11 +12,13 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import StudyConfig, run_study
+from repro.config import StudyConfig
 from repro.core.pipeline import run_local_pipeline
+from repro.core.protocol import run_study
 from repro.fuzz.oracle import study_decisions
-from repro.genomics import SyntheticSpec, generate_cohort
-from repro.serve import FederationService, ServiceConfig
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
+from repro.serve.config import ServiceConfig
+from repro.serve.service import FederationService
 
 _THRESHOLD_KWARGS = dict(
     maf_cutoff=0.05, ld_cutoff=1e-5, alpha=0.1, beta=0.9

@@ -17,7 +17,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import StudyConfig, generate_cohort, partition_cohort
 from repro.config import (
     ExecutionConfig,
     FaultConfig,
@@ -25,6 +24,7 @@ from repro.config import (
     ObservabilityConfig,
     ResilienceConfig,
     ShardingConfig,
+    StudyConfig,
 )
 from repro.core.federation import build_federation
 from repro.core.leader import elect_leader
@@ -32,8 +32,10 @@ from repro.core.protocol import GenDPRProtocol
 from repro.core.resilience import RoundEngine
 from repro.core.timing import RoundAccounting
 from repro.errors import MemberUnresponsiveError, ProtocolError
-from repro.genomics import SyntheticSpec
-from repro.net import Envelope, SimulatedNetwork
+from repro.genomics.partition import partition_cohort
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
+from repro.net.message import Envelope
+from repro.net.network import SimulatedNetwork
 
 STUDY_ID = "round-engine"
 STUDY_SEED = 5

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from repro import StudyConfig, run_study
-from repro.config import FaultConfig
+from repro.config import FaultConfig, StudyConfig
+from repro.core.protocol import run_study
 from repro.errors import (
     ConfigError,
     EnclaveCrashedError,
@@ -17,15 +17,10 @@ from repro.errors import (
     UnknownStudyError,
 )
 from repro.fuzz.oracle import study_decisions
-from repro.genomics import SyntheticSpec, generate_cohort
-from repro.serve import (
-    CANCELLED,
-    DONE,
-    FAILED,
-    FederationService,
-    ServiceConfig,
-    StudySession,
-)
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
+from repro.serve.config import ServiceConfig
+from repro.serve.service import FederationService
+from repro.serve.session import CANCELLED, DONE, FAILED, StudySession
 
 
 @pytest.fixture(scope="module")
@@ -316,7 +311,7 @@ class TestFailureIsolation:
 
 class TestScheduler:
     def test_gate_cancellation_is_classified(self, cohort):
-        from repro.serve import FairRoundGate
+        from repro.serve.scheduler import FairRoundGate
 
         gate = FairRoundGate(1)
         session = StudySession("gated", cohort, study("gated"))

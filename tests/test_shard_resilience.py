@@ -27,20 +27,21 @@ import os
 
 import pytest
 
-from repro import StudyConfig, generate_cohort, partition_cohort
 from repro.config import (
     FaultConfig,
     IntegrityConfig,
     ObservabilityConfig,
     ResilienceConfig,
     ShardingConfig,
+    StudyConfig,
 )
 from repro.core.federation import build_federation
 from repro.core.leader import elect_leader
 from repro.core.protocol import GenDPRProtocol
 from repro.errors import MemberUnresponsiveError, ReproError
 from repro.fuzz.oracle import study_decisions
-from repro.genomics import SyntheticSpec
+from repro.genomics.partition import partition_cohort
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
 
 MEMBERS = 3
 STUDY_ID = "shard-chaos"

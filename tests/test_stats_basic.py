@@ -9,18 +9,15 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from repro.errors import GenomicsError
-from repro.genomics import GenotypeMatrix
-from repro.stats import (
-    aggregate_counts,
-    allele_frequencies,
+from repro.genomics.genotype import GenotypeMatrix
+from repro.stats.chisq import (
     chi_square_pvalues,
-    folded_maf,
-    maf_filter,
     most_ranked,
     paper_chi_square,
     pearson_chi_square,
     rank_pvalues,
 )
+from repro.stats.maf import aggregate_counts, allele_frequencies, folded_maf, maf_filter
 
 
 def _pops(seed=4, rows=50, cols=10):

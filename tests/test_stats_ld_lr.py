@@ -8,20 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GenomicsError
-from repro.stats import (
+from repro.stats.ld import (
     PairMoments,
-    analytical_power,
-    detection_threshold,
-    empirical_power,
     is_dependent,
     ld_pvalue,
+    r_squared,
+    r_squared_direct,
+)
+from repro.stats.lr_test import (
+    detection_threshold,
+    empirical_power,
     lr_matrix,
     lr_scores,
     lr_weights,
-    power_curve,
-    r_squared,
-    r_squared_direct,
     select_safe_subset,
+)
+from repro.stats.power import (
+    analytical_power,
+    power_curve,
     select_safe_subset_analytical,
 )
 

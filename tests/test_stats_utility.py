@@ -88,7 +88,7 @@ class TestUtilityReport:
 
     def test_report_on_protocol_release(self, small_cohort, study_result):
         """Utility of an actual GenDPR release against full-study stats."""
-        from repro.stats import pearson_chi_square
+        from repro.stats.chisq import pearson_chi_square
 
         full_stats = pearson_chi_square(
             small_cohort.case.allele_counts(),

@@ -8,8 +8,7 @@ import weakref
 
 import pytest
 
-from repro import StudyConfig, generate_cohort, partition_cohort
-from repro.config import FaultConfig, IntegrityConfig, ResilienceConfig
+from repro.config import FaultConfig, IntegrityConfig, ResilienceConfig, StudyConfig
 from repro.core.federation import build_federation
 from repro.core.leader import elect_leader
 from repro.core.protocol import GenDPRProtocol
@@ -20,7 +19,8 @@ from repro.errors import (
     SealingError,
 )
 from repro.fuzz.oracle import study_decisions
-from repro.genomics import SyntheticSpec
+from repro.genomics.partition import partition_cohort
+from repro.genomics.synthetic import SyntheticSpec, generate_cohort
 
 MEMBERS = 3
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TEEError
-from repro.stats import detection_threshold, empirical_power, maf_filter
-from repro.stats.lr_test import select_safe_subset
+from repro.stats.lr_test import detection_threshold, empirical_power, select_safe_subset
+from repro.stats.maf import maf_filter
 from repro.tee.oblivious import (
     oblivious_choose,
     oblivious_empirical_power,
