@@ -111,11 +111,11 @@ def compare_released_vs_withheld(
     """
     released_set = set(int(s) for s in released)
     withheld = [s for s in candidate_pool if int(s) not in released_set]
-    outcome = {  # lint: declassify(aggregate power and false-positive rate of each SNP set are the comparison's output)
-        "released": evaluate_attack(cohort, released, alpha=alpha)
+    outcome = {
+        "released": evaluate_attack(cohort, released, alpha=alpha)  # lint: declassify(aggregate power and false-positive rate on the released SNPs are the comparison's output)
         if released
         else None,
-        "withheld": evaluate_attack(cohort, withheld, alpha=alpha)
+        "withheld": evaluate_attack(cohort, withheld, alpha=alpha)  # lint: declassify(aggregate power and false-positive rate on the withheld SNPs are the comparison's baseline)
         if withheld
         else None,
     }

@@ -8,8 +8,10 @@ threshold 0.9 for the likelihood-ratio test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+import hashlib
+import json
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Any, Optional, Tuple, get_args, get_origin, get_type_hints
 
 from .errors import CollusionConfigError, ConfigError
 
@@ -23,6 +25,65 @@ DEFAULT_POWER_THRESHOLD = 0.9
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
+
+
+def _encode(value: Any) -> Any:
+    """``value`` as JSON: documents nest, tuples become lists."""
+    if isinstance(value, JsonDocument):
+        return value.to_json_dict()
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value
+
+
+def _decode(hint: Any, value: Any) -> Any:
+    """``value`` read back as the annotated type ``hint``.
+
+    Scalars are coerced (``int(...)``, ``str(...)``, ...), documents
+    decode recursively, and lists become tuples of the declared length.
+    """
+    if is_dataclass(hint):
+        return hint.from_json_dict(value)
+    if get_origin(hint) is not tuple:
+        return hint(value)
+    items = get_args(hint)
+    if items[-1] is Ellipsis:
+        return tuple(_decode(items[0], item) for item in value)
+    if len(value) != len(items):
+        raise ValueError(f"expected {len(items)} items, got {value!r}")
+    return tuple(_decode(item, part) for item, part in zip(items, value))
+
+
+class JsonDocument:
+    """Canonical JSON codec of a frozen config dataclass, from its fields.
+
+    Every field is written, so ``cls.from_json_dict(obj.to_json_dict())
+    == obj`` holds exactly and equal objects serialise to identical
+    documents.  Decoding validates through ``__post_init__`` as usual, so
+    a hand-edited corpus entry that breaks an invariant fails with a
+    classified :class:`~repro.errors.ConfigError`.
+    """
+
+    def to_json_dict(self) -> dict:
+        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> Any:
+        hints = get_type_hints(cls)
+        try:
+            return cls(
+                **{f.name: _decode(hints[f.name], doc[f.name]) for f in fields(cls)}
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed {cls.__name__} document: {exc}")
+
+    def canonical_json(self) -> str:
+        """The document with sorted keys and no whitespace."""
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+    def digest(self) -> str:
+        """SHA-256 over :meth:`canonical_json` — the document's identity."""
+        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -161,8 +222,28 @@ class ExecutionConfig:
         return self.mode == "parallel"
 
 
+#: Per-envelope fault rates, in the order of ``repro.faults.plan.ACTIONS``;
+#: together they share the per-send probability budget.
+ENVELOPE_RATE_FIELDS: Tuple[str, ...] = (
+    "drop_rate",
+    "duplicate_rate",
+    "delay_rate",
+    "corrupt_rate",
+    "replay_rate",
+    "withhold_rate",
+)
+
+#: Module-compromise rates (excluded from the per-envelope budget).
+MODULE_RATE_FIELDS: Tuple[str, ...] = ("equivocate_rate", "shard_flip_rate")
+
+RATE_FIELDS: Tuple[str, ...] = ENVELOPE_RATE_FIELDS + MODULE_RATE_FIELDS
+
+#: Checkpoint-tamper modes (``""`` is off).
+TAMPER_MODES: Tuple[str, ...] = ("", "stale", "stale_persistent", "corrupt")
+
+
 @dataclass(frozen=True)
-class FaultConfig:
+class FaultConfig(JsonDocument):
     """Deterministic fault injection for one run (``repro.faults``).
 
     Disabled by default; while disabled the network and ECALL fast
@@ -239,16 +320,7 @@ class FaultConfig:
     partition_windows: Tuple[Tuple[str, int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        for name in (
-            "drop_rate",
-            "duplicate_rate",
-            "delay_rate",
-            "corrupt_rate",
-            "replay_rate",
-            "withhold_rate",
-            "equivocate_rate",
-            "shard_flip_rate",
-        ):
+        for name in RATE_FIELDS:
             rate = getattr(self, name)
             _require(0.0 <= rate <= 1.0, f"{name} must be in [0, 1]")
         _require(
@@ -256,19 +328,12 @@ class FaultConfig:
             "shard_flip_rate needs a shard_flip_target member",
         )
         _require(
-            self.drop_rate
-            + self.duplicate_rate
-            + self.delay_rate
-            + self.corrupt_rate
-            + self.replay_rate
-            + self.withhold_rate
-            <= 1.0,
+            sum(getattr(self, name) for name in ENVELOPE_RATE_FIELDS) <= 1.0,
             "fault rates must sum to at most 1",
         )
         _require(
-            self.checkpoint_tamper in ("", "stale", "stale_persistent", "corrupt"),
-            "checkpoint_tamper must be '', 'stale', 'stale_persistent' "
-            "or 'corrupt'",
+            self.checkpoint_tamper in TAMPER_MODES,
+            f"checkpoint_tamper must be one of {TAMPER_MODES}",
         )
         for enclave_id, index in self.crash_points:
             _require(bool(enclave_id), "crash point needs an enclave id")
@@ -335,87 +400,17 @@ class FaultConfig:
             crash_points=crash_points,
         )
 
-    def to_json_dict(self) -> dict:
-        """Canonical JSON-friendly form (the fuzz-corpus wire format).
-
-        Every field is included, scalars stay scalars and the nested
-        tuples become lists-of-lists, so
-        ``FaultConfig.from_json_dict(cfg.to_json_dict()) == cfg`` holds
-        exactly and two equal configs serialise to identical documents
-        (dict key order is irrelevant: corpus digests are computed over
-        ``json.dumps(..., sort_keys=True)``).
-        """
-        return {
-            "enabled": self.enabled,
-            "seed": self.seed,
-            "drop_rate": self.drop_rate,
-            "duplicate_rate": self.duplicate_rate,
-            "delay_rate": self.delay_rate,
-            "corrupt_rate": self.corrupt_rate,
-            "replay_rate": self.replay_rate,
-            "withhold_rate": self.withhold_rate,
-            "withhold_target": self.withhold_target,
-            "equivocate_rate": self.equivocate_rate,
-            "shard_flip_rate": self.shard_flip_rate,
-            "shard_flip_target": self.shard_flip_target,
-            "checkpoint_tamper": self.checkpoint_tamper,
-            "crash_points": [
-                [enclave_id, index] for enclave_id, index in self.crash_points
-            ],
-            "partition_windows": [
-                [node_id, start_round, blocked_ops]
-                for node_id, start_round, blocked_ops in self.partition_windows
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "FaultConfig":
-        """Rebuild a config serialised by :meth:`to_json_dict`.
-
-        Validation runs through ``__post_init__`` as usual, so a
-        hand-edited corpus entry that breaks an invariant fails with a
-        classified :class:`~repro.errors.ConfigError` instead of
-        constructing an impossible plan.
-        """
-        try:
-            return cls(
-                enabled=bool(doc["enabled"]),
-                seed=int(doc["seed"]),
-                drop_rate=float(doc["drop_rate"]),
-                duplicate_rate=float(doc["duplicate_rate"]),
-                delay_rate=float(doc["delay_rate"]),
-                corrupt_rate=float(doc["corrupt_rate"]),
-                replay_rate=float(doc["replay_rate"]),
-                withhold_rate=float(doc["withhold_rate"]),
-                withhold_target=str(doc["withhold_target"]),
-                equivocate_rate=float(doc["equivocate_rate"]),
-                shard_flip_rate=float(doc["shard_flip_rate"]),
-                shard_flip_target=str(doc["shard_flip_target"]),
-                checkpoint_tamper=str(doc["checkpoint_tamper"]),
-                crash_points=tuple(
-                    (str(enclave_id), int(index))
-                    for enclave_id, index in doc["crash_points"]
-                ),
-                partition_windows=tuple(
-                    (str(node_id), int(start_round), int(blocked_ops))
-                    for node_id, start_round, blocked_ops in doc[
-                        "partition_windows"
-                    ]
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed FaultConfig document: {exc}")
-
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Supervised-runtime knobs: retry, backoff, checkpoint failover.
+    """Supervised-runtime knobs: retry, checkpoint failover.
 
     Disabled by default, which preserves the historical fail-stop
     behaviour (any fault raises out of the protocol).  Enabled, the
     round engine retries transient failures of every round (OCALL,
     tree-combine, echo) with exponential backoff on the *simulated*
-    clock, and
+    clock (``repro.core.resilience.BACKOFF_BASE_S`` doubling per
+    attempt), and
     :class:`~repro.core.supervisor.ProtocolSupervisor` checkpoints the
     leader after every phase and performs automated failover when the
     leader enclave crashes.  Members that stay unresponsive past the
@@ -429,9 +424,6 @@ class ResilienceConfig:
             supervisor.
         max_attempts: delivery attempts per edge per round before the
             member is declared unresponsive.
-        backoff_base_s: simulated seconds of backoff after the first
-            failed attempt.
-        backoff_factor: multiplier applied per further attempt.
         max_failovers: leader replacements tolerated per study before a
             :class:`~repro.errors.LeaderFailoverError` abort.
         max_repairs: shard-tree repairs (member enclave replacement +
@@ -442,15 +434,11 @@ class ResilienceConfig:
 
     enabled: bool = False
     max_attempts: int = 4
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
     max_failovers: int = 2
     max_repairs: int = 2
 
     def __post_init__(self) -> None:
         _require(self.max_attempts >= 1, "max_attempts must be at least 1")
-        _require(self.backoff_base_s >= 0.0, "backoff_base_s must be >= 0")
-        _require(self.backoff_factor >= 1.0, "backoff_factor must be >= 1")
         _require(self.max_failovers >= 0, "max_failovers must be >= 0")
         _require(self.max_repairs >= 0, "max_repairs must be >= 0")
 
@@ -463,16 +451,12 @@ class ResilienceConfig:
         cls,
         *,
         max_attempts: int = 4,
-        backoff_base_s: float = 0.05,
-        backoff_factor: float = 2.0,
         max_failovers: int = 2,
         max_repairs: int = 2,
     ) -> "ResilienceConfig":
         return cls(
             enabled=True,
             max_attempts=max_attempts,
-            backoff_base_s=backoff_base_s,
-            backoff_factor=backoff_factor,
             max_failovers=max_failovers,
             max_repairs=max_repairs,
         )
@@ -560,22 +544,12 @@ class ObservabilityConfig:
     can stay compiled-in everywhere.
 
     Attributes:
-        enabled: record spans/metrics and attach a
+        enabled: record spans/metrics (one point event per network
+            envelope included) and attach a
             :class:`~repro.obs.report.RunReport` to the study result.
-        capture_messages: also record one point event per network
-            envelope (the highest-volume span source; switch off for
-            long runs where only phase/ECALL granularity matters).
-        max_spans: optional cap on collected spans; excess spans are
-            counted as dropped instead of stored, bounding memory.
     """
 
     enabled: bool = False
-    capture_messages: bool = True
-    max_spans: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.max_spans is not None:
-            _require(self.max_spans > 0, "max_spans must be positive")
 
     @classmethod
     def off(cls) -> "ObservabilityConfig":
@@ -583,16 +557,9 @@ class ObservabilityConfig:
         return cls()
 
     @classmethod
-    def tracing(
-        cls,
-        *,
-        capture_messages: bool = True,
-        max_spans: Optional[int] = None,
-    ) -> "ObservabilityConfig":
+    def tracing(cls) -> "ObservabilityConfig":
         """Full tracing, as used by ``repro run --trace``."""
-        return cls(
-            enabled=True, capture_messages=capture_messages, max_spans=max_spans
-        )
+        return cls(enabled=True)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ tests rely on this separation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -49,8 +48,6 @@ class GdoHost:
     network: SimulatedNetwork
     store: Optional[SealedColumnStore] = None
     reference_store: Optional[SealedColumnStore] = None
-    #: Wall seconds spent inside this host's enclave answering requests.
-    answer_seconds: float = 0.0
 
     _HANDLERS = {
         "summary": "answer_summary",
@@ -64,52 +61,40 @@ class GdoHost:
             raise ProtocolError(
                 f"{self.gdo_id} received a frame addressed to {envelope.receiver}"
             )
-        begin = time.perf_counter()
-        try:
-            if envelope.tag == "retained":
-                self.enclave.ecall(
-                    "ingest_retained", envelope.body, label="retained"
-                )
-                return None
-            if envelope.tag == "shard-task":
-                self.enclave.ecall(
-                    "ingest_shard_task", envelope.body, label="shard"
-                )
-                return None
-            if envelope.tag == "shard":
-                # A tree child's partial; replies never flow back down.
-                self.enclave.ecall(
-                    "shard_ingest_partial",
-                    envelope.sender,
-                    envelope.body,
-                    label="shard",
-                )
-                return None
-            if envelope.tag.startswith("transcript:"):
-                # Transcript attestations touch only channel state, not
-                # the sealed dataset.  The tag carries the stage
-                # ("transcript:<stage>") so each verification round has
-                # a unique kind — a Byzantine replay of an earlier
-                # round's reply is rejected by tag mismatch instead of
-                # reaching the channel and tripping replay protection.
-                response = self.enclave.ecall(
-                    "answer_transcript", envelope.body, label="transcript"
-                )
-            else:
-                handler = self._HANDLERS.get(envelope.tag)
-                if handler is None:
-                    raise ProtocolError(
-                        f"unknown protocol tag {envelope.tag!r}"
-                    )
-                if self.store is None:
-                    raise ProtocolError(
-                        f"{self.gdo_id} has no local dataset"
-                    )
-                response = self.enclave.ecall(
-                    handler, self.store, envelope.body, label=envelope.tag
-                )
-        finally:
-            self.answer_seconds += time.perf_counter() - begin
+        if envelope.tag == "retained":
+            self.enclave.ecall("ingest_retained", envelope.body, label="retained")
+            return None
+        if envelope.tag == "shard-task":
+            self.enclave.ecall("ingest_shard_task", envelope.body, label="shard")
+            return None
+        if envelope.tag == "shard":
+            # A tree child's partial; replies never flow back down.
+            self.enclave.ecall(
+                "shard_ingest_partial",
+                envelope.sender,
+                envelope.body,
+                label="shard",
+            )
+            return None
+        if envelope.tag.startswith("transcript:"):
+            # Transcript attestations touch only channel state, not
+            # the sealed dataset.  The tag carries the stage
+            # ("transcript:<stage>") so each verification round has
+            # a unique kind — a Byzantine replay of an earlier
+            # round's reply is rejected by tag mismatch instead of
+            # reaching the channel and tripping replay protection.
+            response = self.enclave.ecall(
+                "answer_transcript", envelope.body, label="transcript"
+            )
+        else:
+            handler = self._HANDLERS.get(envelope.tag)
+            if handler is None:
+                raise ProtocolError(f"unknown protocol tag {envelope.tag!r}")
+            if self.store is None:
+                raise ProtocolError(f"{self.gdo_id} has no local dataset")
+            response = self.enclave.ecall(
+                handler, self.store, envelope.body, label=envelope.tag
+            )
         return Envelope(
             sender=self.gdo_id,
             receiver=envelope.sender,
@@ -497,9 +482,7 @@ def bind_study(
         from ..faults.injector import FaultInjector
         from ..faults.plan import FaultPlan
 
-        fault_injector = FaultInjector(
-            FaultPlan.from_config(config.faults), leader_id=leader_id
-        )
+        fault_injector = FaultInjector(FaultPlan(config.faults), leader_id=leader_id)
         network.install_fault_injector(fault_injector)
         ecall_interceptor = fault_injector.on_ecall
     else:

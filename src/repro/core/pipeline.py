@@ -63,13 +63,16 @@ def ld_prune(
     snps = list(retained)
     if len(snps) <= 1:
         return snps
+    # Python floats index and compare faster than numpy scalars, and the
+    # walk ranks nearly every dependent pair.
+    ranking = np.asarray(ranking_pvalues).tolist()
     kept: List[int] = []
     candidate = snps[0]
     for position in range(1, len(snps)):
         nxt = snps[position]
         statistic = get_statistic(candidate, nxt, position)
         if ld.chi2_sf_1df(statistic) < ld_cutoff:
-            candidate = chisq.most_ranked(candidate, nxt, ranking_pvalues)
+            candidate = chisq.most_ranked(candidate, nxt, ranking)
         else:
             kept.append(candidate)
             candidate = nxt

@@ -152,9 +152,8 @@ class GenDPRProtocol:
         paths only touch the null sink.
         """
         federation = self._federation
-        obs_config = federation.config.observability
         try:
-            if not obs_config.enabled:
+            if not federation.config.observability.enabled:
                 return self._execute_study()
             if TRACER.enabled:
                 # A caller (run_study, or a user-held scope) already
@@ -164,10 +163,7 @@ class GenDPRProtocol:
                 collector = TRACER.collector
                 result = self._traced_execute()
             else:
-                collector = SpanCollector(max_spans=obs_config.max_spans)
-                with TRACER.activated(
-                    collector, capture_messages=obs_config.capture_messages
-                ):
+                with TRACER.activated() as collector:
                     result = self._traced_execute()
             result.observability = self._build_report(result, collector)
             return result
@@ -228,7 +224,6 @@ class GenDPRProtocol:
             "num_members": result.num_members,
             "l_des": result.l_des,
             "l_safe": len(result.l_safe),
-            "spans_dropped": getattr(collector, "dropped", 0),
         }
         if federation.config.sharding.enabled:
             plan, _tree = self._shard_structures()

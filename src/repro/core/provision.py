@@ -19,7 +19,6 @@ from ..errors import ProtocolError
 from ..genomics.partition import partition_cohort
 from ..genomics.population import Cohort
 from ..net.network import SimulatedNetwork
-from ..obs.span import SpanCollector
 from ..obs.tracer import TRACER
 from .federation import (
     Federation,
@@ -96,12 +95,8 @@ class ProvisionedFederation:
         datasets = partition_cohort(
             self._cohort, self._num_members, shuffle_seed=self._shuffle_seed
         )
-        obs_config = self._config.observability
-        if obs_config.enabled and not TRACER.enabled:
-            collector = SpanCollector(max_spans=obs_config.max_spans)
-            self._tracer_scope = TRACER.activated(
-                collector, capture_messages=obs_config.capture_messages
-            )
+        if self._config.observability.enabled and not TRACER.enabled:
+            self._tracer_scope = TRACER.activated()
             self._tracer_scope.__enter__()
         try:
             if self._substrate is not None:

@@ -47,7 +47,7 @@ import threading
 import time
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -65,6 +65,12 @@ from ..obs.tracer import TRACER
 #: One edge of a round: ``(sender, receiver, frame)``.  The frame slot
 #: is ``None`` when the round's ``emit`` step builds it.
 Edge = Tuple[str, str, Optional[bytes]]
+
+#: Simulated seconds of backoff after a first failed attempt; each
+#: further attempt multiplies the wait by :data:`BACKOFF_FACTOR`.  The
+#: backoff only advances the simulated clock.
+BACKOFF_BASE_S = 0.05
+BACKOFF_FACTOR = 2.0
 
 
 def _frame_hash(body: bytes) -> bytes:
@@ -84,15 +90,7 @@ class FailureReport:
     counters: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "study_id": self.study_id,
-            "member_id": self.member_id,
-            "round_kind": self.round_kind,
-            "attempts": self.attempts,
-            "cause": self.cause,
-            "simulated_time_s": self.simulated_time_s,
-            "counters": dict(self.counters),
-        }
+        return asdict(self)
 
 
 class _ReplyRouter:
@@ -185,7 +183,6 @@ class RoundEngine:
         self._accounting = accounting
         self._parallel = config.execution.is_parallel
         self._max_workers = config.execution.max_workers
-        self._policy = config.resilience
         self._resilient = config.resilience.enabled
         self._max_attempts = (
             config.resilience.max_attempts if self._resilient else 1
@@ -483,8 +480,7 @@ class RoundEngine:
         reply.  Nothing else is released, so a parallel round's lanes
         never drop frames into each other's inboxes.
         """
-        policy = self._policy
-        delay = policy.backoff_base_s * policy.backoff_factor ** (attempt - 1)
+        delay = BACKOFF_BASE_S * BACKOFF_FACTOR ** (attempt - 1)
         self._federation.network.advance_clock(delay)
         with self._stats_lock:
             self._stats["retries"] += 1

@@ -10,11 +10,10 @@ The injector sits behind two hooks, both disabled by default:
   :meth:`on_ecall` as an ECALL interceptor, which tears an enclave
   down at a planned crash point.
 
-Every injected event is counted, appended to a bounded event log for
-the fault-injection report, and traced through :data:`repro.obs.tracer.TRACER`
-when observability is on.  All bookkeeping lives behind one lock; the
-decisions themselves are pure plan lookups, so worker threads cannot
-perturb the schedule.
+Every injected event is counted and, when observability is on, traced
+through :data:`repro.obs.tracer.TRACER`.  All bookkeeping lives behind
+one lock; the decisions themselves are pure plan lookups, so worker
+threads cannot perturb the schedule.
 """
 
 from __future__ import annotations
@@ -28,15 +27,13 @@ from ..obs.tracer import TRACER
 from ..tee.sealing import SealedBlob
 from .plan import CORRUPT, DELAY, DROP, DUPLICATE, REPLAY, WITHHOLD, FaultPlan
 
-#: Cap on the per-run injected-event log (counters are never capped).
-_EVENT_LOG_LIMIT = 10_000
-
 
 class FaultInjector:
     """Applies one :class:`FaultPlan` to a network and a set of enclaves."""
 
     def __init__(self, plan: FaultPlan, *, leader_id: Optional[str] = None):
         self._plan = plan
+        self._config = plan.config
         #: Corruption is only applied on the leader → member request leg
         #: (see FaultConfig.corrupt_rate); a corrupt draw on a reply leg
         #: degrades to a drop, modelling the transport integrity check
@@ -79,7 +76,6 @@ class FaultInjector:
             "shard_equivocations": 0,
             "checkpoint_tampers": 0,
         }
-        self._events: List[Dict[str, object]] = []
 
     @property
     def plan(self) -> FaultPlan:
@@ -93,10 +89,6 @@ class FaultInjector:
 
     def _record(self, action: str, counter: str, **attributes: object) -> None:
         self._counters[counter] += 1
-        if len(self._events) < _EVENT_LOG_LIMIT:
-            self._events.append(
-                dict(attributes, action=action, round=self._round_index)
-            )
         if TRACER.enabled:
             TRACER.event(f"fault.{action}", round=self._round_index, **attributes)
 
@@ -107,21 +99,18 @@ class FaultInjector:
         with self._lock:
             self._round_index += 1
             self._round_kind = kind
-            for window in self._plan.partition_windows:
-                if window.start_round == self._round_index:
-                    budget = self._partition_budget.get(window.node_id, 0)
-                    self._partition_budget[window.node_id] = (
-                        budget + window.blocked_ops
+            for node_id, start_round, blocked_ops in self._config.partition_windows:
+                if start_round != self._round_index:
+                    continue
+                budget = self._partition_budget.get(node_id, 0)
+                self._partition_budget[node_id] = budget + blocked_ops
+                if TRACER.enabled:
+                    TRACER.event(
+                        "fault.partition_begin",
+                        round=self._round_index,
+                        node=node_id,
+                        blocked_ops=blocked_ops,
                     )
-                    self._record(
-                        "partition_begin",
-                        "partition_blocks",
-                        node=window.node_id,
-                        blocked_ops=window.blocked_ops,
-                    )
-                    # partition_begin is informational; the counter
-                    # tracks blocked operations, so undo the increment.
-                    self._counters["partition_blocks"] -= 1
             return self._round_index
 
     # -- network hook ----------------------------------------------------------
@@ -160,9 +149,8 @@ class FaultInjector:
             self._leader_id is not None and envelope.sender != self._leader_id
         ):
             action = DROP
-        if action == WITHHOLD and self._plan.withhold_target and (
-            self._plan.withhold_target not in link
-        ):
+        target = self._config.withhold_target
+        if action == WITHHOLD and target and target not in link:
             # Targeted withholding: links not touching the target are
             # left alone (the adversary spends its budget selectively).
             action = None
@@ -295,7 +283,7 @@ class FaultInjector:
         re-installed into every replacement enclave, so per-broadcast
         attempt counters persist across failovers).
         """
-        if self._plan.equivocate_rate <= 0.0:
+        if self._config.equivocate_rate <= 0.0:
             return None
         if self._equivocator is None:
             self._equivocator = BroadcastEquivocator(self)
@@ -314,7 +302,7 @@ class FaultInjector:
         attested module instead, which is what lets a detected
         equivocation resolve into a clean completion.
         """
-        if self._plan.shard_flip_rate <= 0.0:
+        if self._config.shard_flip_rate <= 0.0:
             return None
         if self._shard_equivocator is None:
             self._shard_equivocator = ShardEquivocator(self)
@@ -330,7 +318,7 @@ class FaultInjector:
         The tampering host keeps the *first* blob around as rollback
         material for :meth:`checkpoint_for_restore`.
         """
-        if blob is None or not self._plan.checkpoint_tamper:
+        if blob is None or not self._config.checkpoint_tamper:
             return
         with self._lock:
             if self._first_checkpoint is None:
@@ -348,7 +336,7 @@ class FaultInjector:
         blob is served and the study recovers; ``"stale_persistent"``
         serves it on every restore, forcing a classified abort.
         """
-        mode = self._plan.checkpoint_tamper
+        mode = self._config.checkpoint_tamper
         if not mode or latest is None:
             return latest
         if mode == "corrupt":
@@ -386,17 +374,13 @@ class FaultInjector:
         with self._lock:
             index = self._ecall_index.get(enclave.enclave_id, 0) + 1
             self._ecall_index[enclave.enclave_id] = index
-            crash = None
-            for point in self._plan.crash_points:
-                if (
-                    point.enclave_id == enclave.enclave_id
-                    and point.ecall_index == index
-                    and point not in self._consumed_crash_points
-                ):
-                    crash = point
-                    break
-            if crash is not None:
-                self._consumed_crash_points.add(crash)
+            point = (enclave.enclave_id, index)
+            crash = (
+                point in self._config.crash_points
+                and point not in self._consumed_crash_points
+            )
+            if crash:
+                self._consumed_crash_points.add(point)
                 self._record(
                     "crash",
                     "crashes",
@@ -404,7 +388,7 @@ class FaultInjector:
                     ecall=name,
                     ecall_index=index,
                 )
-        if crash is not None:
+        if crash:
             enclave.crash()
 
     # -- reporting -------------------------------------------------------------
@@ -412,17 +396,6 @@ class FaultInjector:
     def counters(self) -> Dict[str, int]:
         with self._lock:
             return dict(self._counters)
-
-    def report(self) -> Dict[str, object]:
-        """Machine-readable fault-injection report (CI artifact payload)."""
-        with self._lock:
-            return {
-                "plan": self._plan.describe(),
-                "counters": dict(self._counters),
-                "rounds": self._round_index,
-                "events": [dict(e) for e in self._events],
-                "event_log_truncated": len(self._events) >= _EVENT_LOG_LIMIT,
-            }
 
 
 class BroadcastEquivocator:
@@ -487,7 +460,7 @@ class ShardEquivocator:
 
     @property
     def target(self) -> str:
-        return self._injector.plan.shard_flip_target
+        return self._injector.plan.config.shard_flip_target
 
     def mutate(self, kind: str, shard: int, stats):
         """The leaf statistics the module actually folds and emits.

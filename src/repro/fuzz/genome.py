@@ -19,39 +19,23 @@ lets mutation operators stay simple: mutate freely, then normalize.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from typing import Tuple
 
 from ..config import (
+    ENVELOPE_RATE_FIELDS,
+    EXECUTION_MODES,
+    RATE_FIELDS,
     CollusionPolicy,
     ExecutionConfig,
     FaultConfig,
     IntegrityConfig,
+    JsonDocument,
     ResilienceConfig,
     ShardingConfig,
     StudyConfig,
 )
 from ..errors import ConfigError
-
-#: Envelope-level rate fields that share the per-send probability budget.
-ENVELOPE_RATE_FIELDS: Tuple[str, ...] = (
-    "drop_rate",
-    "duplicate_rate",
-    "delay_rate",
-    "corrupt_rate",
-    "replay_rate",
-    "withhold_rate",
-)
-
-#: Module-compromise rate fields (excluded from the envelope budget).
-MODULE_RATE_FIELDS: Tuple[str, ...] = ("equivocate_rate", "shard_flip_rate")
-
-RATE_FIELDS: Tuple[str, ...] = ENVELOPE_RATE_FIELDS + MODULE_RATE_FIELDS
-
-#: Execution-mode axis values.
-MODES: Tuple[str, ...] = ("sequential", "parallel")
 
 #: Shard-count axis values (1 disables sharding).
 SHARD_AXIS: Tuple[int, ...] = (1, 2, 4)
@@ -61,7 +45,7 @@ COLLUSION_AXIS: Tuple[int, ...] = (0, 1)
 
 
 @dataclass(frozen=True)
-class PlanGenome:
+class PlanGenome(JsonDocument):
     """One fuzzable chaos scenario: a fault plan plus its run axes."""
 
     faults: FaultConfig = field(default_factory=FaultConfig)
@@ -72,47 +56,12 @@ class PlanGenome:
     integrity: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
+        if self.mode not in EXECUTION_MODES:
             raise ConfigError(f"unknown execution mode {self.mode!r}")
         if self.f not in COLLUSION_AXIS:
             raise ConfigError("collusion axis must be 0 or 1")
         if self.shards < 1:
             raise ConfigError("shard axis must be >= 1")
-
-    # -- canonical form -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "faults": self.faults.to_json_dict(),
-            "mode": self.mode,
-            "f": self.f,
-            "shards": self.shards,
-            "supervised": self.supervised,
-            "integrity": self.integrity,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "PlanGenome":
-        try:
-            return cls(
-                faults=FaultConfig.from_json_dict(doc["faults"]),
-                mode=str(doc["mode"]),
-                f=int(doc["f"]),
-                shards=int(doc["shards"]),
-                supervised=bool(doc["supervised"]),
-                integrity=bool(doc["integrity"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed PlanGenome document: {exc}")
-
-    def canonical_json(self) -> str:
-        return json.dumps(
-            self.to_json_dict(), sort_keys=True, separators=(",", ":")
-        )
-
-    def digest(self) -> str:
-        """SHA-256 over the canonical JSON — the genome's identity."""
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     # -- complexity ordering --------------------------------------------------
 

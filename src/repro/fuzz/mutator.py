@@ -19,15 +19,10 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Sequence, Tuple
 
+from ..config import ENVELOPE_RATE_FIELDS, EXECUTION_MODES, RATE_FIELDS, TAMPER_MODES
 from ..crypto.rng import DeterministicRng
 from ..errors import ConfigError
-from .genome import (
-    ENVELOPE_RATE_FIELDS,
-    MODES,
-    RATE_FIELDS,
-    PlanGenome,
-    normalize,
-)
+from .genome import SHARD_AXIS, PlanGenome, normalize
 
 #: Rates are drawn from a fixed palette (no float arithmetic drift).
 RATE_PALETTE: Tuple[float, ...] = (
@@ -40,12 +35,6 @@ RATE_PALETTE: Tuple[float, ...] = (
     0.2,
     0.35,
 )
-
-#: Checkpoint-tamper modes the mutator may arm.
-TAMPER_MODES: Tuple[str, ...] = ("", "stale", "stale_persistent", "corrupt")
-
-#: Shard-count palette (1 disables sharding).
-SHARD_PALETTE: Tuple[int, ...] = (1, 2, 4)
 
 #: The operator names, in the fixed order the dispatcher draws over.
 OPERATORS: Tuple[str, ...] = (
@@ -252,11 +241,11 @@ class PlanMutator:
             ("mode", "f", "shards", "supervised", "integrity")
         )
         if axis == "mode":
-            return replace(genome, mode=self._choice(MODES))
+            return replace(genome, mode=self._choice(EXECUTION_MODES))
         if axis == "f":
             return replace(genome, f=self._rng.randbelow(2))
         if axis == "shards":
-            return replace(genome, shards=self._choice(SHARD_PALETTE))
+            return replace(genome, shards=self._choice(SHARD_AXIS))
         if axis == "supervised":
             return replace(genome, supervised=bool(self._rng.randbelow(2)))
         return replace(genome, integrity=bool(self._rng.randbelow(2)))

@@ -138,13 +138,15 @@ class OracleRun:
     def record(self, **extra: object) -> Dict[str, object]:
         """A chaos-report record for this run (plan + digest + outcome).
 
-        The plan digest makes every record traceable to its corpus
-        entry; the chaos tiers merge ``extra`` fields like seed, mode
-        and shard count on top.
+        ``plan`` is the run's :class:`~repro.config.FaultConfig` document,
+        so ``FaultConfig.from_json_dict(record["plan"])`` rebuilds its
+        faults, and ``plan_digest`` is that document's SHA-256; the chaos
+        tiers merge ``extra`` fields like seed, mode and shard count on
+        top.
         """
         plan = self.federation.fault_injector.plan
         record: Dict[str, object] = {
-            "plan": plan.describe(),
+            "plan": plan.config.to_json_dict(),
             "plan_digest": plan.digest(),
             "outcome": self.verdict,
             "injected": dict(self.injected),

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence, Tuple
 
-from .genome import RATE_FIELDS, PlanGenome, normalize
+from ..config import RATE_FIELDS
+from .genome import PlanGenome, normalize
 
 #: Descending rate ladder the rate-lowering pass walks.
 SHRINK_RATE_LADDER: Tuple[float, ...] = (0.2, 0.12, 0.08, 0.05, 0.02, 0.01)

@@ -183,9 +183,14 @@ class DeclassificationAuditRule(_FlowRule):
     def _marker_for(
         self, module: ModuleInfo, line: int, extents
     ) -> Optional[str]:
-        """The declassify reason anchored to the statement at ``line``."""
+        """The declassify reason of the call at ``line``.
+
+        A marker on the call's own line wins, so two declassifier calls
+        in one statement each keep their own reason; otherwise the first
+        marker anywhere in the innermost statement applies.
+        """
         extent = innermost_extent(extents, line) or (line, line)
-        for lineno in range(extent[0], extent[1] + 1):
+        for lineno in (line, *range(extent[0], extent[1] + 1)):
             if 1 <= lineno <= len(module.lines):
                 match = find_declassify_marker(module.lines[lineno - 1])
                 if match is not None:

@@ -160,7 +160,7 @@ class SimulatedNetwork:
             self._fault_injector.on_send(envelope)
         else:
             self._deliver_to(envelope.receiver, envelope)
-        if TRACER.enabled and TRACER.capture_messages:
+        if TRACER.enabled:
             TRACER.event(
                 "net.send",
                 sender=envelope.sender,
@@ -230,7 +230,7 @@ class SimulatedNetwork:
                     f"(pending tags: {pending})"
                 )
             inbox.popleft()
-        if TRACER.enabled and TRACER.capture_messages:
+        if TRACER.enabled:
             TRACER.event(
                 "net.recv",
                 node=node_id,
@@ -265,7 +265,7 @@ class SimulatedNetwork:
             if len(inbox) < count:
                 raise NetworkError(f"inbox of {node_id!r} is empty")
             received = [inbox.popleft() for _ in range(count)]
-        if TRACER.enabled and TRACER.capture_messages:
+        if TRACER.enabled:
             for envelope in received:
                 TRACER.event(
                     "net.recv",
@@ -455,7 +455,7 @@ class ScopedNetwork:
             self._fault_injector.on_send(envelope)
         else:
             self._parent._deliver_to(receiver_physical, envelope)
-        if TRACER.enabled and TRACER.capture_messages:
+        if TRACER.enabled:
             TRACER.event(
                 "net.send",
                 scope=self.namespace,

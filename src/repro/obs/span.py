@@ -8,8 +8,7 @@ in ``docs/OBSERVABILITY.md`` (study → phase → round → ecall → message).
 
 Collectors receive *completed* spans.  Two implementations exist:
 
-* :class:`SpanCollector` — a thread-safe in-memory sink with an
-  optional span cap (the cap drops, it never blocks).
+* :class:`SpanCollector` — a thread-safe in-memory sink.
 * :class:`NullCollector` — the disabled-tracing sink.  It is a
   stateless singleton (``__slots__ = ()``: it *cannot* accumulate
   anything), so the cost of instrumentation in a non-traced run is one
@@ -22,8 +21,6 @@ import itertools
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-from ..errors import ConfigError
 
 
 @dataclass
@@ -85,22 +82,12 @@ NULL_SINK = NullCollector()
 
 
 class SpanCollector:
-    """Thread-safe in-memory span sink.
+    """Thread-safe in-memory span sink."""
 
-    Args:
-        max_spans: optional hard cap; spans beyond it are counted in
-            :attr:`dropped` instead of stored, bounding memory on
-            long runs.
-    """
-
-    def __init__(self, max_spans: Optional[int] = None):
-        if max_spans is not None and max_spans <= 0:
-            raise ConfigError("max_spans must be positive")
-        self.max_spans = max_spans
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._spans: List[Span] = []
         self._ids = itertools.count(1)
-        self._dropped = 0
 
     def next_id(self) -> int:
         """A fresh span id (unique within this collector)."""
@@ -108,10 +95,7 @@ class SpanCollector:
 
     def add(self, span: Span) -> None:
         with self._lock:
-            if self.max_spans is not None and len(self._spans) >= self.max_spans:
-                self._dropped += 1
-            else:
-                self._spans.append(span)
+            self._spans.append(span)
 
     def spans(self) -> List[Span]:
         """Snapshot of collected spans, in completion order."""
@@ -121,13 +105,6 @@ class SpanCollector:
     def clear(self) -> None:
         with self._lock:
             self._spans.clear()
-            self._dropped = 0
-
-    @property
-    def dropped(self) -> int:
-        """Spans discarded because of ``max_spans``."""
-        with self._lock:
-            return self._dropped
 
     def __len__(self) -> int:
         with self._lock:

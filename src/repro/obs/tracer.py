@@ -103,9 +103,6 @@ class Tracer:
         self._collector = NULL_SINK
         #: Fast-path switch; instrumentation reads only this when off.
         self.enabled = False
-        #: Whether per-envelope network events are recorded (they are
-        #: the highest-volume span source; disable for long runs).
-        self.capture_messages = True
         self._local = threading.local()
 
     # -- span stack (per thread) ---------------------------------------------
@@ -187,10 +184,7 @@ class Tracer:
 
     @contextmanager
     def activated(
-        self,
-        collector: Optional[SpanCollector] = None,
-        *,
-        capture_messages: bool = True,
+        self, collector: Optional[SpanCollector] = None
     ) -> Iterator[SpanCollector]:
         """Route spans into ``collector`` for the duration of the block.
 
@@ -198,14 +192,13 @@ class Tracer:
         exit, even on error.
         """
         sink = collector if collector is not None else SpanCollector()
-        previous = (self._collector, self.enabled, self.capture_messages)
+        previous = (self._collector, self.enabled)
         self._collector = sink
         self.enabled = True
-        self.capture_messages = capture_messages
         try:
             yield sink
         finally:
-            self._collector, self.enabled, self.capture_messages = previous
+            self._collector, self.enabled = previous
 
 
 #: The process-wide tracer every instrumentation point uses.

@@ -20,6 +20,8 @@ Their p-values come from :func:`repro.stats.ld.chi2_sf_1df`, the one
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..errors import GenomicsError
@@ -146,7 +148,7 @@ def rank_pvalues_scalar(
     return out
 
 
-def most_ranked(left: int, right: int, ranking_pvalues: np.ndarray) -> int:
+def most_ranked(left: int, right: int, ranking_pvalues: Sequence[float]) -> int:
     """Index (of the two given) with the smaller ranking p-value.
 
     Ties go to the lower SNP index, making the LD greedy deterministic.

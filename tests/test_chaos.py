@@ -29,6 +29,7 @@ import os
 
 import pytest
 
+from repro.config import FaultConfig
 from repro.fuzz.genome import genome_config
 from repro.fuzz.oracle import DecisionOracle
 from repro.fuzz.seeds import (
@@ -221,4 +222,6 @@ def test_report_records_dedupe_and_carry_digest(oracle):
     assert len(_collected_runs) == before
     record = _collected_runs[(1, 1)]
     assert record["plan_digest"] == run.federation.fault_injector.plan.digest()
-    assert record["plan"] == run.federation.fault_injector.plan.describe()
+    plan = run.federation.fault_injector.plan
+    assert record["plan"] == plan.config.to_json_dict()
+    assert FaultConfig.from_json_dict(record["plan"]) == plan.config

@@ -12,6 +12,7 @@ from repro.core.pipeline import (
     run_local_pipeline,
 )
 from repro.errors import ProtocolError
+from repro.stats.chisq import most_ranked
 from repro.stats.ld import PairMoments, r_squared
 
 
@@ -52,6 +53,20 @@ class TestLdPrune:
         source = self._const_source({(0, 1), (1, 2), (2, 3), (2, 4)})
         kept = ld_prune([0, 1, 2, 3, 4], ranking, source, 1e-5)
         assert kept == [2]
+
+    def test_ties_and_ulp_gaps_rank_as_on_the_array(self):
+        """The walk ranks a linked run exactly as folding ``most_ranked``
+        over the numpy ranking does, ties and one-ulp gaps included."""
+        p = 1e-3
+        below = np.nextafter(p, 0.0)
+        ranking = np.array([p, p, below, p, below, np.nextafter(p, 1.0)])
+        snps = list(range(len(ranking)))
+        linked = {(a, b) for a in snps for b in snps}
+        expected = snps[0]
+        for snp in snps[1:]:
+            expected = most_ranked(expected, snp, ranking)
+        kept = ld_prune(snps, ranking, self._const_source(linked), 1e-5)
+        assert kept == [expected] == [2]
 
     def test_short_inputs(self):
         ranking = np.zeros(5)

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import FaultConfig
+from repro.config import ENVELOPE_RATE_FIELDS, FaultConfig
 from repro.errors import ConfigError, NetworkError
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import ACTIONS, CrashPoint, FaultPlan, PartitionWindow
+from repro.faults.plan import ACTIONS, FaultPlan
 from repro.net.message import Envelope
 from repro.net.network import SimulatedNetwork
 from repro.tee.enclave import Enclave, ecall, guarded
@@ -17,6 +17,10 @@ class _ToyEnclave(Enclave):
     @ecall
     def ping(self) -> str:
         return "pong"
+
+
+def _plan(**faults) -> FaultPlan:
+    return FaultPlan(FaultConfig(enabled=True, **faults))
 
 
 def _network(*nodes: str) -> SimulatedNetwork:
@@ -29,11 +33,11 @@ def _network(*nodes: str) -> SimulatedNetwork:
 class TestFaultPlan:
     def test_rates_must_sum_to_at_most_one(self):
         with pytest.raises(ConfigError):
-            FaultPlan(drop_rate=0.6, duplicate_rate=0.5)
+            _plan(drop_rate=0.6, duplicate_rate=0.5)
 
     def test_decisions_are_deterministic_and_order_independent(self):
-        a = FaultPlan(seed=3, drop_rate=0.2, delay_rate=0.2)
-        b = FaultPlan(seed=3, drop_rate=0.2, delay_rate=0.2)
+        a = _plan(seed=3, drop_rate=0.2, delay_rate=0.2)
+        b = _plan(seed=3, drop_rate=0.2, delay_rate=0.2)
         coordinates = [("x", "y", i) for i in range(200)]
         forward = [a.action_for(*c) for c in coordinates]
         backward = [b.action_for(*c) for c in reversed(coordinates)]
@@ -41,37 +45,24 @@ class TestFaultPlan:
         assert any(action is not None for action in forward)
 
     def test_different_seeds_differ(self):
-        a = FaultPlan(seed=1, drop_rate=0.3)
-        b = FaultPlan(seed=2, drop_rate=0.3)
+        a = _plan(seed=1, drop_rate=0.3)
+        b = _plan(seed=2, drop_rate=0.3)
         decisions_a = [a.action_for("x", "y", i) for i in range(100)]
         decisions_b = [b.action_for("x", "y", i) for i in range(100)]
         assert decisions_a != decisions_b
 
     def test_zero_rates_never_fault(self):
-        plan = FaultPlan(seed=9)
+        plan = _plan(seed=9)
         assert all(
             plan.action_for("x", "y", i) is None for i in range(100)
         )
 
     def test_rates_are_approximated(self):
-        plan = FaultPlan(seed=4, drop_rate=0.25)
+        plan = _plan(seed=4, drop_rate=0.25)
         drops = sum(
             1 for i in range(2000) if plan.action_for("x", "y", i) == "drop"
         )
         assert 0.18 < drops / 2000 < 0.32
-
-    def test_from_config_round_trips(self):
-        config = FaultConfig(
-            enabled=True,
-            seed=12,
-            drop_rate=0.1,
-            crash_points=(("gdo-1", 3),),
-            partition_windows=(("gdo-2", 2, 4),),
-        )
-        plan = FaultPlan.from_config(config)
-        assert plan.crash_points == (CrashPoint("gdo-1", 3),)
-        assert plan.partition_windows == (PartitionWindow("gdo-2", 2, 4),)
-        assert plan.describe()["drop_rate"] == 0.1
 
     def test_chaos_preset_splits_intensity(self):
         config = FaultConfig.chaos(5, intensity=0.2)
@@ -83,13 +74,27 @@ class TestFaultPlan:
         )
         assert total == pytest.approx(0.2)
         assert config.drop_rate == pytest.approx(2 * config.duplicate_rate)
-        described = FaultPlan.from_config(config).describe()
-        assert {f"{action}_rate" for action in ACTIONS} <= set(described)
+        assert {f"{action}_rate" for action in ACTIONS} <= set(
+            config.to_json_dict()
+        )
+
+    def test_actions_draw_with_their_own_rates(self):
+        """The plan pairs ACTIONS with ENVELOPE_RATE_FIELDS by position."""
+        assert tuple(f"{a}_rate" for a in ACTIONS) == ENVELOPE_RATE_FIELDS
+        for action, name in zip(ACTIONS, ENVELOPE_RATE_FIELDS):
+            plan = _plan(**{name: 1.0})
+            assert plan.action_for("x", "y", 1) == action
+
+    def test_digest_hashes_the_config_document(self):
+        config = FaultConfig(enabled=True, seed=12, drop_rate=0.1)
+        assert FaultPlan(config).digest() == config.digest()
+        rebuilt = FaultConfig.from_json_dict(config.to_json_dict())
+        assert FaultPlan(rebuilt).digest() == config.digest()
 
 
 class TestFaultInjector:
     def test_drop_loses_the_envelope(self):
-        plan = FaultPlan(seed=0, drop_rate=1.0)
+        plan = _plan(drop_rate=1.0)
         network = _network("a", "b")
         injector = FaultInjector(plan)
         network.install_fault_injector(injector)
@@ -98,14 +103,14 @@ class TestFaultInjector:
         assert injector.counters()["drops"] == 1
 
     def test_duplicate_delivers_twice(self):
-        plan = FaultPlan(seed=0, duplicate_rate=1.0)
+        plan = _plan(duplicate_rate=1.0)
         network = _network("a", "b")
         network.install_fault_injector(FaultInjector(plan))
         network.send(Envelope(sender="a", receiver="b", tag="t", body=b"x"))
         assert network.pending("b") == 2
 
     def test_delay_holds_until_released(self):
-        plan = FaultPlan(seed=0, delay_rate=1.0)
+        plan = _plan(delay_rate=1.0)
         network = _network("a", "b")
         injector = FaultInjector(plan)
         network.install_fault_injector(injector)
@@ -115,7 +120,7 @@ class TestFaultInjector:
         assert network.pending("b") == 1
 
     def test_corrupt_flips_a_byte_on_the_leader_leg(self):
-        plan = FaultPlan(seed=0, corrupt_rate=1.0)
+        plan = _plan(corrupt_rate=1.0)
         network = _network("leader", "b")
         injector = FaultInjector(plan, leader_id="leader")
         network.install_fault_injector(injector)
@@ -129,7 +134,7 @@ class TestFaultInjector:
         assert diffs == [plan.corrupt_offset("leader", "b", 1, len(body))]
 
     def test_corrupt_degrades_to_drop_on_the_reply_leg(self):
-        plan = FaultPlan(seed=0, corrupt_rate=1.0)
+        plan = _plan(corrupt_rate=1.0)
         network = _network("leader", "b")
         injector = FaultInjector(plan, leader_id="leader")
         network.install_fault_injector(injector)
@@ -139,9 +144,7 @@ class TestFaultInjector:
         assert injector.counters()["corruptions"] == 0
 
     def test_partition_window_blocks_budgeted_sends(self):
-        plan = FaultPlan(
-            seed=0, partition_windows=(PartitionWindow("b", 1, 2),)
-        )
+        plan = _plan(partition_windows=(("b", 1, 2),))
         network = _network("a", "b")
         injector = FaultInjector(plan)
         network.install_fault_injector(injector)
@@ -157,9 +160,7 @@ class TestFaultInjector:
         assert injector.counters()["partition_blocks"] == 2
 
     def test_partition_window_waits_for_its_round(self):
-        plan = FaultPlan(
-            seed=0, partition_windows=(PartitionWindow("b", 2, 1),)
-        )
+        plan = _plan(partition_windows=(("b", 2, 1),))
         network = _network("a", "b")
         injector = FaultInjector(plan)
         network.install_fault_injector(injector)
@@ -171,7 +172,7 @@ class TestFaultInjector:
             network.send(Envelope(sender="a", receiver="b", tag="t", body=b"x"))
 
     def test_crash_point_tears_enclave_down_at_exact_ecall(self):
-        plan = FaultPlan(seed=0, crash_points=(CrashPoint("e1", 3),))
+        plan = _plan(crash_points=(("e1", 3),))
         injector = FaultInjector(plan)
         enclave = _ToyEnclave(platform_key=bytes(32), enclave_id="e1")
         proxy = guarded(enclave, injector.on_ecall)
@@ -184,7 +185,7 @@ class TestFaultInjector:
         assert injector.counters()["crashes"] == 1
 
     def test_crash_point_only_hits_named_enclave(self):
-        plan = FaultPlan(seed=0, crash_points=(CrashPoint("other", 1),))
+        plan = _plan(crash_points=(("other", 1),))
         injector = FaultInjector(plan)
         enclave = _ToyEnclave(platform_key=bytes(32), enclave_id="e1")
         proxy = guarded(enclave, injector.on_ecall)
@@ -192,7 +193,7 @@ class TestFaultInjector:
         assert injector.counters()["crashes"] == 0
 
     def test_reset_in_flight_discards_delayed(self):
-        plan = FaultPlan(seed=0, delay_rate=1.0)
+        plan = _plan(delay_rate=1.0)
         network = _network("a", "b")
         injector = FaultInjector(plan)
         network.install_fault_injector(injector)
@@ -200,18 +201,6 @@ class TestFaultInjector:
         assert injector.reset_in_flight() == 1
         assert injector.release_delayed("b") == 0
         assert network.pending("b") == 0
-
-    def test_report_is_json_friendly(self):
-        import json
-
-        plan = FaultPlan(seed=0, drop_rate=1.0)
-        network = _network("a", "b")
-        injector = FaultInjector(plan)
-        network.install_fault_injector(injector)
-        network.send(Envelope(sender="a", receiver="b", tag="t", body=b"x"))
-        report = injector.report()
-        assert json.loads(json.dumps(report))["counters"]["drops"] == 1
-        assert report["events"][0]["action"] == "drop"
 
 
 class TestZeroOverheadWhenDisabled:

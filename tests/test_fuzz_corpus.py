@@ -10,6 +10,9 @@ rejects malformed documents.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.config import FaultConfig
@@ -17,6 +20,8 @@ from repro.errors import ConfigError, CorpusInvariantError
 from repro.fuzz.corpus import CORPUS_FORMAT, CorpusPool, merge_behaviours
 from repro.fuzz.coverage import Behaviour
 from repro.fuzz.genome import PlanGenome
+
+CORPUS_PATH = Path(__file__).parent / "fuzz_corpus" / "corpus.json"
 
 
 def _genome(**faults) -> PlanGenome:
@@ -166,3 +171,14 @@ def test_merge_behaviours_unions_units():
         ]
     )
     assert merged == {"a", "b", "arc:m:1:2"}
+
+
+def test_committed_entries_reencode_to_their_documents():
+    """Decoding a committed genome and encoding it again reproduces the
+    committed document and digest byte for byte."""
+    doc = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
+    assert doc["entries"]
+    for entry in doc["entries"]:
+        genome = PlanGenome.from_json_dict(entry["genome"])
+        assert genome.to_json_dict() == entry["genome"]
+        assert genome.digest() == entry["digest"]

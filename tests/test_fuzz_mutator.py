@@ -15,12 +15,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import FaultConfig
-from repro.fuzz.genome import (
-    ENVELOPE_RATE_FIELDS,
-    PlanGenome,
-    normalize,
-)
+from repro.config import ENVELOPE_RATE_FIELDS, FaultConfig
+from repro.fuzz.genome import PlanGenome, normalize
 from repro.fuzz.mutator import OPERATORS, PlanMutator
 
 MEMBERS = ("gdo-0", "gdo-1", "gdo-2")

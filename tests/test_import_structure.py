@@ -12,6 +12,7 @@ would hide calls from rules R6-R8.
 from __future__ import annotations
 
 import ast
+import functools
 import importlib.util
 import json
 import os
@@ -23,7 +24,9 @@ import pytest
 
 import repro
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+FIXTURES = ROOT / "tests" / "fixtures"
 
 #: Every ``repro`` module that ``import repro.core.enclave_logic`` loads.
 ENCLAVE_CLOSURE = {
@@ -101,42 +104,68 @@ def _module_path(module: str) -> pathlib.Path:
     return path if path.is_dir() else path.with_suffix(".py")
 
 
-def _defined_names(package: str) -> set:
-    """Top-level names ``package/__init__.py`` itself defines."""
-    tree = ast.parse((_module_path(package) / "__init__.py").read_text())
+#: Package paths perfbench imports, kept by those packages' ``__init__``.
+PACKAGE_EXPORTS = {
+    "repro.genomics.SyntheticSpec",
+    "repro.genomics.generate_cohort",
+    "repro.serve.FederationService",
+    "repro.serve.ServiceConfig",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _defined_names(module: str) -> frozenset:
+    """Top-level names ``module`` itself defines (def, class, assignment)."""
+    path = _module_path(module)
+    if path.is_dir():
+        path = path / "__init__.py"
     names = set()
-    for node in tree.body:
+    for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, ast.Assign):
             names.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    return names
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return frozenset(names)
+
+
+def _python_files():
+    """The program's modules, then every test, benchmark and example."""
+    yield from sorted((SRC / "repro").rglob("*.py"))
+    for top in ("tests", "benchmarks", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if FIXTURES not in path.parents:
+                yield path
 
 
 def test_src_imports_name_defining_modules():
-    """``from P import name`` with ``P`` a package imports a submodule
-    of ``P`` or a name ``P/__init__.py`` defines, never a re-export."""
-    through_packages = []
-    for path in sorted((SRC / "repro").rglob("*.py")):
-        parts = path.relative_to(SRC).with_suffix("").parts
-        package = ".".join(parts[:-1])
+    """``from M import name`` with ``M`` a ``repro`` module imports a
+    submodule of ``M`` or a name ``M`` itself defines, never a name
+    ``M`` only imports — in the program, the tests, the benchmarks and
+    the examples alike."""
+    pass_through = []
+    for path in _python_files():
+        base = SRC if SRC in path.parents else ROOT
+        package = ".".join(path.relative_to(base).parts[:-1])
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.ImportFrom):
                 continue
             source = importlib.util.resolve_name(
                 "." * node.level + (node.module or ""), package
             )
-            if not source.startswith("repro") or not _module_path(source).is_dir():
+            if source.partition(".")[0] != "repro":
                 continue
             for alias in node.names:
                 name = f"{source}.{alias.name}"
                 if not (
                     alias.name in _defined_names(source)
                     or _module_path(name).exists()
+                    or name in PACKAGE_EXPORTS
                 ):
-                    where = path.relative_to(SRC)
-                    through_packages.append(f"{where}:{node.lineno} {name}")
-    assert through_packages == []
+                    where = path.relative_to(ROOT)
+                    pass_through.append(f"{where}:{node.lineno} {name}")
+    assert pass_through == []
 
 
 @pytest.mark.parametrize("name", repro.__all__)

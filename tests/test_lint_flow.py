@@ -10,6 +10,7 @@ repro-specific defaults.
 from __future__ import annotations
 
 import pathlib
+import shutil
 
 import pytest
 
@@ -197,6 +198,30 @@ class TestMarkersAndModel:
         assert inventory[0]["orphan"] is True
         assert inventory[0]["reason"] == "kept for review"
         assert inventory[0]["target"] is None
+
+    def test_each_call_in_one_statement_keeps_its_own_marker(self, tmp_path):
+        package = tmp_path / "flowpkg"
+        shutil.copytree(FLOW / "good" / "flowpkg", package)
+        (package / "host.py").write_text(
+            "from .enclave import MiniEnclave\n"
+            "\n"
+            "\n"
+            "def run():\n"
+            "    enc = MiniEnclave()\n"
+            "    stats = (\n"
+            "        enc.release_stats(),  # lint: declassify(first release)\n"
+            "        enc.release_stats(),  # lint: declassify(second release)\n"
+            "    )\n"
+            "    return stats\n",
+            encoding="utf-8",
+        )
+        result = run_lint([tmp_path], CONFIG)
+        assert result.findings == []
+        inventory = result.artifacts["declassifications"]
+        assert [(e["line"], e["reason"]) for e in inventory] == [
+            (7, "first release"),
+            (8, "second release"),
+        ]
 
     def test_find_declassify_marker(self):
         match = find_declassify_marker(

@@ -156,7 +156,7 @@ def _run_and_record(shard_cohort, config, label: str):
     record = {
         "label": label,
         "shards": config.sharding.num_shards,
-        "plan": federation.fault_injector.plan.describe()
+        "plan": federation.fault_injector.plan.config.to_json_dict()
         if federation.fault_injector is not None
         else {},
     }
