@@ -274,7 +274,7 @@ class RoundEngine:
     def _run(self, kind, edges, handler, tag, emit) -> None:
         injector = self._federation.fault_injector
         if injector is not None:
-            injector.begin_round(kind)
+            injector.begin_round()
         self._bump("rounds")
         handler = handler or self._dispatch
         frames: List[Optional[bytes]] = [frame for _s, _r, frame in edges]

@@ -43,9 +43,7 @@ class FaultInjector:
         self._lock = threading.Lock()
         self._link_index: Dict[Tuple[str, str], int] = {}
         self._ecall_index: Dict[str, int] = {}
-        self._consumed_crash_points: set = set()
         self._round_index = 0
-        self._round_kind = ""
         #: node_id -> send operations still to block (active partitions).
         self._partition_budget: Dict[str, int] = {}
         self._pending_delayed: List[Envelope] = []
@@ -94,11 +92,10 @@ class FaultInjector:
 
     # -- round lifecycle -------------------------------------------------------
 
-    def begin_round(self, kind: str) -> int:
+    def begin_round(self) -> int:
         """Advance the OCALL round counter; activate partition windows."""
         with self._lock:
             self._round_index += 1
-            self._round_kind = kind
             for node_id, start_round, blocked_ops in self._config.partition_windows:
                 if start_round != self._round_index:
                     continue
@@ -374,13 +371,9 @@ class FaultInjector:
         with self._lock:
             index = self._ecall_index.get(enclave.enclave_id, 0) + 1
             self._ecall_index[enclave.enclave_id] = index
-            point = (enclave.enclave_id, index)
-            crash = (
-                point in self._config.crash_points
-                and point not in self._consumed_crash_points
-            )
+            # Indices only grow per enclave id, so a point comes up once.
+            crash = (enclave.enclave_id, index) in self._config.crash_points
             if crash:
-                self._consumed_crash_points.add(point)
                 self._record(
                     "crash",
                     "crashes",

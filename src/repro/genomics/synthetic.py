@@ -21,12 +21,26 @@ phases react to:
   non-trivial.
 
 The generator is deterministic in its seed (PCG64), so every experiment
-in EXPERIMENTS.md is replayable.
+in EXPERIMENTS.md is replayable.  The order in which it consumes the
+stream is part of that contract, and changing it changes every cohort:
+
+1. base frequencies (``beta``, one per SNP), block starts (one uniform
+   per SNP), case drift (``normal``), the associated SNPs and their
+   effect signs (``choice``);
+2. the populations in order, each case site and then the controls; a
+   site with a site effect first draws its ``normal`` per SNP;
+3. within a population, SNP by SNP: one uniform per individual for the
+   fresh allele, then, unless the SNP starts a block, one per
+   individual for the copy mask.
+
+Step 3 runs in chunks of SNPs, one ``Generator.random`` call each; that
+call returns the doubles one call per row would, in the same order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Tuple
 
 import numpy as np
@@ -37,6 +51,8 @@ from .population import Cohort
 from .snp import SnpPanel
 
 _FREQ_FLOOR = 1e-3
+#: SNPs whose uniforms one ``Generator.random`` call draws.
+_DRAW_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -64,8 +80,14 @@ class SyntheticSpec:
     seed: int = 7
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison below, so finiteness comes first.
+        for item in fields(self):
+            if item.type == "float" and not math.isfinite(getattr(self, item.name)):
+                raise GenomicsError(f"{item.name} must be finite")
         if min(self.num_snps, self.num_case, self.num_control) <= 0:
             raise GenomicsError("population and panel sizes must be positive")
+        if self.maf_alpha <= 0 or self.maf_beta <= 0:
+            raise GenomicsError("maf_alpha and maf_beta must be positive")
         if not 0 < self.ld_copy_prob < 1:
             raise GenomicsError("ld_copy_prob must be in (0, 1)")
         if self.ld_block_mean_length < 1:
@@ -109,25 +131,70 @@ def _draw_block_starts(
     return starts
 
 
-def _sample_population(
+def _draw_population(
     rng: np.random.Generator,
     frequencies: np.ndarray,
-    block_starts: np.ndarray,
-    num_individuals: int,
+    copies: np.ndarray,
     copy_prob: float,
-) -> GenotypeMatrix:
-    """Sample genotypes column by column under the copying model."""
-    num_snps = frequencies.shape[0]
-    data = np.empty((num_individuals, num_snps), dtype=np.uint8)
-    for snp in range(num_snps):
-        fresh = rng.random(num_individuals) < frequencies[snp]
-        if block_starts[snp]:
-            column = fresh
-        else:
-            copy_mask = rng.random(num_individuals) < copy_prob
-            column = np.where(copy_mask, data[:, snp - 1].astype(bool), fresh)
-        data[:, snp] = column
-    return GenotypeMatrix(data)
+    fresh: np.ndarray,
+    keep: np.ndarray,
+) -> None:
+    """Draw one population's fresh alleles and copy masks in stream order.
+
+    ``fresh`` and ``keep`` are SNP-major boolean views with one column
+    per individual.  Each SNP takes one row of uniforms for its fresh
+    allele (``u < frequency``) and, where it ``copies`` rather than
+    starts a block, a second row for its copy mask (``u < copy_prob``).
+    The rows of :data:`_DRAW_CHUNK` SNPs come from one ``rng.random``
+    call, which returns the doubles one call per row would, in order.
+    """
+    num_snps, num_individuals = fresh.shape
+    # SNP s draws row first_row[s], and row first_row[s] + 1 if it copies.
+    first_row = np.zeros(num_snps + 1, dtype=np.intp)
+    np.cumsum(1 + copies, out=first_row[1:])
+    bounds = np.full((first_row[-1], 1), copy_prob, dtype=np.float64)
+    bounds[first_row[:-1], 0] = frequencies
+    starts = range(0, num_snps, _DRAW_CHUNK)
+    most_rows = int(np.diff(first_row[[*starts, num_snps]]).max())
+    draws = np.empty(most_rows * num_individuals)
+    hits = np.empty(draws.shape, dtype=bool)
+    for start in starts:
+        stop = min(start + _DRAW_CHUNK, num_snps)
+        low, high = first_row[start], first_row[stop]
+        shape = (high - low, num_individuals)
+        chunk = draws[: shape[0] * num_individuals].reshape(shape)
+        rng.random(out=chunk)
+        chunk_hits = hits[: chunk.size].reshape(shape)
+        np.less(chunk, bounds[low:high], out=chunk_hits)
+        fresh_rows = first_row[start:stop] - low
+        copy_snps = np.flatnonzero(copies[start:stop])
+        fresh[start:stop] = chunk_hits[fresh_rows]
+        keep[start + copy_snps] = chunk_hits[fresh_rows[copy_snps] + 1]
+
+
+def _copy_forward(
+    fresh: np.ndarray, keep: np.ndarray, copies: np.ndarray
+) -> np.ndarray:
+    """Apply the copy rule in SNP order; the individuals x SNPs genotypes.
+
+    A copying SNP takes the previous SNP's final allele wherever its
+    mask holds, so SNPs run in order, each over every individual of
+    the group at once.  Returns a ``uint8`` view of ``fresh``.
+    """
+    for snp in np.flatnonzero(copies):
+        row = fresh[snp]
+        # Where the mask holds, xor-ing in the difference selects the
+        # previous SNP's allele; elsewhere the fresh allele stays.
+        row ^= (row ^ fresh[snp - 1]) & keep[snp]
+    return fresh.view(np.uint8).T
+
+
+def _group_scratch(
+    num_snps: int, num_individuals: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """SNP-major ``fresh`` and ``keep`` scratch for one group."""
+    shape = (num_snps, num_individuals)
+    return np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
 
 
 def _case_frequencies(
@@ -172,9 +239,10 @@ def generate_cohort(spec: SyntheticSpec) -> Tuple[Cohort, SyntheticTruth]:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     base = _draw_base_frequencies(rng, spec)
     blocks = _draw_block_starts(rng, spec)
+    copies = ~blocks
     case_freqs, associated = _case_frequencies(rng, spec, base)
 
-    site_parts = []
+    fresh, keep = _group_scratch(spec.num_snps, spec.num_case)
     site_ranges = []
     offset = 0
     for site_size in _site_sizes(spec.num_case, spec.num_sites):
@@ -187,19 +255,18 @@ def generate_cohort(spec: SyntheticSpec) -> Tuple[Cohort, SyntheticTruth]:
             )
         else:
             site_freqs = case_freqs
-        site_parts.append(
-            _sample_population(rng, site_freqs, blocks, site_size, spec.ld_copy_prob)
+        site = slice(offset, offset + site_size)
+        _draw_population(
+            rng, site_freqs, copies, spec.ld_copy_prob, fresh[:, site], keep[:, site]
         )
         site_ranges.append((offset, offset + site_size))
         offset += site_size
-    case = (
-        site_parts[0]
-        if len(site_parts) == 1
-        else GenotypeMatrix.vstack(site_parts)
-    )
-    control = _sample_population(
-        rng, base, blocks, spec.num_control, spec.ld_copy_prob
-    )
+    case = GenotypeMatrix(_copy_forward(fresh, keep, copies))
+    # Free the case scratch first: one group's scratch is live at a time.
+    del fresh, keep
+    fresh, keep = _group_scratch(spec.num_snps, spec.num_control)
+    _draw_population(rng, base, copies, spec.ld_copy_prob, fresh, keep)
+    control = GenotypeMatrix(_copy_forward(fresh, keep, copies))
     panel = SnpPanel.synthetic(spec.num_snps)
     cohort = Cohort.control_as_reference(panel, case, control)
     truth = SyntheticTruth(

@@ -53,6 +53,22 @@ class TestCommands:
         assert "50 SNPs" in captured
         assert "minor-allele frequency" in captured
 
+    @pytest.mark.parametrize("flag", ["--drift", "--site-effect"])
+    def test_generate_rejects_nan(self, tmp_path, capsys, flag):
+        out = tmp_path / "nan.npz"
+        assert main(
+            [
+                "generate",
+                "--snps", "50",
+                "--case", "40",
+                "--control", "40",
+                flag, "nan",
+                "--out", str(out),
+            ]
+        ) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_plain(self, cohort_file, tmp_path, capsys):
         json_out = str(tmp_path / "result.json")
         assert main(

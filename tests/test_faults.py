@@ -148,7 +148,7 @@ class TestFaultInjector:
         network = _network("a", "b")
         injector = FaultInjector(plan)
         network.install_fault_injector(injector)
-        injector.begin_round("t")
+        injector.begin_round()
         for _ in range(2):
             with pytest.raises(NetworkError):
                 network.send(
@@ -164,10 +164,10 @@ class TestFaultInjector:
         network = _network("a", "b")
         injector = FaultInjector(plan)
         network.install_fault_injector(injector)
-        injector.begin_round("t")
+        injector.begin_round()
         network.send(Envelope(sender="a", receiver="b", tag="t", body=b"x"))
         assert network.pending("b") == 1
-        injector.begin_round("t")
+        injector.begin_round()
         with pytest.raises(NetworkError):
             network.send(Envelope(sender="a", receiver="b", tag="t", body=b"x"))
 
@@ -182,6 +182,26 @@ class TestFaultInjector:
 
         with pytest.raises(EnclaveCrashedError):
             proxy.ecall("ping")
+        assert injector.counters()["crashes"] == 1
+
+    def test_crash_point_fires_once_for_a_replaced_enclave(self):
+        """ECALL indices keep growing per enclave id, so a replacement
+        with the crashed enclave's id never meets the spent point."""
+        from repro.errors import EnclaveCrashedError
+
+        plan = _plan(crash_points=(("e1", 3),))
+        injector = FaultInjector(plan)
+        first = guarded(
+            _ToyEnclave(platform_key=bytes(32), enclave_id="e1"), injector.on_ecall
+        )
+        for _ in range(2):
+            first.ecall("ping")
+        with pytest.raises(EnclaveCrashedError):
+            first.ecall("ping")
+        replacement = guarded(
+            _ToyEnclave(platform_key=bytes(32), enclave_id="e1"), injector.on_ecall
+        )
+        assert [replacement.ecall("ping") for _ in range(3)] == ["pong"] * 3
         assert injector.counters()["crashes"] == 1
 
     def test_crash_point_only_hits_named_enclave(self):

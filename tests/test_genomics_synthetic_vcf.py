@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.bench.workloads import clear_cohort_cache, paper_cohort
 from repro.crypto.signing import MacSigner
 from repro.errors import DataIntegrityError, GenomicsError
+from repro.genomics import synthetic
 from repro.genomics.synthetic import SyntheticSpec, generate_cohort
 from repro.genomics.vcf import SignedMatrix
 from repro.stats.ld import r_squared_direct
@@ -121,6 +126,150 @@ class TestSyntheticGeneration:
             self._spec(num_sites=301)
         with pytest.raises(GenomicsError):
             self._spec(site_effect_sd=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (name, value)
+            for name in (
+                "maf_alpha",
+                "maf_beta",
+                "ld_block_mean_length",
+                "ld_copy_prob",
+                "case_drift_sd",
+                "associated_fraction",
+                "effect_size",
+                "site_effect_sd",
+            )
+            for value in (float("nan"), float("inf"), float("-inf"))
+        ]
+        + [("maf_alpha", 0.0), ("maf_beta", -1.0)],
+    )
+    def test_spec_rejects_non_finite_floats_and_flat_beta_shapes(self, field, value):
+        with pytest.raises(GenomicsError, match=field):
+            self._spec(**{field: value})
+
+
+def _sample_by_column(rng, frequencies, block_starts, num_individuals, copy_prob):
+    """The per-SNP sampling loop the bulk draws replaced, kept as their oracle."""
+    num_snps = frequencies.shape[0]
+    data = np.empty((num_individuals, num_snps), dtype=np.uint8)
+    for snp in range(num_snps):
+        fresh = rng.random(num_individuals) < frequencies[snp]
+        if block_starts[snp]:
+            column = fresh
+        else:
+            copy_mask = rng.random(num_individuals) < copy_prob
+            column = np.where(copy_mask, data[:, snp - 1].astype(bool), fresh)
+        data[:, snp] = column
+    return data
+
+
+def _cohort_by_column(spec):
+    """Case and control arrays, site ranges, associated SNPs and case
+    frequencies as the column-by-column generator drew them."""
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    base = synthetic._draw_base_frequencies(rng, spec)
+    blocks = synthetic._draw_block_starts(rng, spec)
+    case_freqs, associated = synthetic._case_frequencies(rng, spec, base)
+    parts, site_ranges, offset = [], [], 0
+    for size in synthetic._site_sizes(spec.num_case, spec.num_sites):
+        site_freqs = case_freqs
+        if spec.site_effect_sd > 0:
+            site_freqs = np.clip(
+                case_freqs + rng.normal(0.0, spec.site_effect_sd, size=spec.num_snps),
+                synthetic._FREQ_FLOOR,
+                1 - synthetic._FREQ_FLOOR,
+            )
+        parts.append(
+            _sample_by_column(rng, site_freqs, blocks, size, spec.ld_copy_prob)
+        )
+        site_ranges.append((offset, offset + size))
+        offset += size
+    control = _sample_by_column(rng, base, blocks, spec.num_control, spec.ld_copy_prob)
+    return np.vstack(parts), control, tuple(site_ranges), associated, case_freqs
+
+
+_CHUNK = synthetic._DRAW_CHUNK
+#: Chunk edges (one SNP, one below and above a multiple of the chunk),
+#: every SNP a block start (mean length 1) or long blocks, one case per
+#: site or several, with and without site effects.
+_ORACLE_SPECS = [
+    SyntheticSpec(
+        num_snps=snps,
+        num_case=num_case,
+        num_control=num_control,
+        num_sites=sites,
+        site_effect_sd=site_effect,
+        ld_block_mean_length=block_length,
+        seed=seed,
+    )
+    for seed, (snps, (num_case, sites), num_control, site_effect, block_length) in (
+        enumerate(
+            itertools.product(
+                (1, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 1),
+                ((12, 12), (40, 1), (37, 3)),
+                (9,),
+                (0.0, 0.04),
+                (1.0, 12.0),
+            )
+        )
+    )
+] + [
+    # The spec of paper_cohort(14_860, 1000, scale=0.1, seed=1608).
+    SyntheticSpec(
+        num_snps=1000,
+        num_case=1486,
+        num_control=1304,
+        num_sites=12,
+        site_effect_sd=0.04,
+        case_drift_sd=1.2 / 1000**0.5,
+        seed=1608,
+    ),
+]
+
+
+def _digest(cohort) -> str:
+    """SHA-256 over the case bytes, then the control bytes."""
+    digest = hashlib.sha256(cohort.case.to_bytes())
+    digest.update(cohort.control.to_bytes())
+    return digest.hexdigest()
+
+
+class TestBulkSampler:
+    """The chunked draws consume the stream as the column loop did."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        _ORACLE_SPECS,
+        ids=lambda spec: (
+            f"L{spec.num_snps}-case{spec.num_case}-sites{spec.num_sites}"
+            f"-effect{spec.site_effect_sd}-block{spec.ld_block_mean_length:g}"
+        ),
+    )
+    def test_cohort_equals_the_column_loop(self, spec):
+        cohort, truth = generate_cohort(spec)
+        case, control, site_ranges, associated, case_freqs = _cohort_by_column(spec)
+        assert np.array_equal(cohort.case.array(), case)
+        assert np.array_equal(cohort.control.array(), control)
+        assert truth.site_ranges == site_ranges
+        assert truth.associated_snps == associated
+        assert np.array_equal(truth.case_frequencies, case_freqs)
+
+    def test_cohort_bytes_are_pinned(self):
+        """Case then control bytes hash as they did before the bulk draws."""
+        clear_cohort_cache()
+        paper, _truth = paper_cohort(14_860, 1000, scale=0.1, seed=1608)
+        clear_cohort_cache()
+        small, _truth = generate_cohort(
+            SyntheticSpec(num_snps=500, num_case=300, num_control=260)
+        )
+        assert _digest(paper) == (
+            "4d9d4b25b463b23f9b035456e1dfb4fcf7d297b085dd5a84383147f3f983753b"
+        )
+        assert _digest(small) == (
+            "076e4fe37fae73aa93b8fd541a259d1de932024706bb1d4cac957fe519717d12"
+        )
 
 
 class TestSignedMatrix:

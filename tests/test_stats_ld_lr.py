@@ -16,6 +16,7 @@ from repro.stats.ld import (
     r_squared_direct,
 )
 from repro.stats.lr_test import (
+    clip_frequencies,
     detection_threshold,
     empirical_power,
     lr_matrix,
@@ -140,6 +141,30 @@ class TestLrTest:
         n, l = 5, 7
         expected = w1[l] if case[n, l] else w0[l]
         assert matrix[n, l] == pytest.approx(expected)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lr_matrix_shows_the_leader_each_genotype_bit(self, seed, n):
+        """Entries are w1 or w0, so a column whose weights differ spells
+        out every individual's bit, and only an equal column hides it."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        snps = 30
+        genotypes = (rng.random((n, snps)) < rng.random()).astype(np.uint8)
+        case_freq = rng.random(snps)
+        ref_freq = rng.random(snps)
+        ref_freq[::4] = case_freq[::4]
+        # Different frequencies that clip to the same value.
+        case_freq[1::4], ref_freq[1::4] = 0.0, 1e-9
+        matrix = lr_matrix(genotypes, case_freq, ref_freq)
+        w1, w0 = lr_weights(case_freq, ref_freq)
+        differ = w1 != w0
+        assert np.array_equal((matrix == w1)[:, differ], genotypes[:, differ] == 1)
+        same = clip_frequencies(case_freq) == clip_frequencies(ref_freq)
+        assert same[::4].all() and same[1::4].all() and not differ[same].any()
+        assert (matrix[:, same] == matrix[0, same]).all()
 
     def test_lr_scores_are_row_sums(self):
         case, _ref, case_freq, ref_freq = self._setup()
